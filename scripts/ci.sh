@@ -22,8 +22,9 @@
 #            background checkpointing on, drive a few thousand votes over
 #            several connections with serve_load --smoke (which also
 #            verifies every reply against a local engine and demands v10
-#            predictions), SIGTERM the server, and assert a clean drain
-#            plus a restorable checkpoint (serve_digg --inspect)
+#            predictions), SIGTERM the server, and assert a clean drain,
+#            a nonzero stream.state_bytes in its DIGG_METRICS drain dump,
+#            and a restorable checkpoint (serve_digg --inspect)
 #   scenarios
 #            Release build + the scenario-engine smoke: run the fig7
 #            prediction-comparison bench in --smoke mode (downscaled
@@ -175,7 +176,9 @@ if [[ $MODE == serve || $MODE == all ]]; then
   SERVE_TMP=$(mktemp -d)
   SERVE_LOG="$SERVE_TMP/serve.log"
   SERVE_CKPT="$SERVE_TMP/serve.ckpt"
-  DIGG_CHECKPOINT_MS=500 "$RELEASE_DIR"/examples/serve_digg --smoke \
+  SERVE_METRICS="$SERVE_TMP/serve_metrics.json"
+  DIGG_METRICS="$SERVE_METRICS" DIGG_CHECKPOINT_MS=500 \
+    "$RELEASE_DIR"/examples/serve_digg --smoke \
     --checkpoint "$SERVE_CKPT" >"$SERVE_LOG" 2>&1 &
   SERVE_PID=$!
   # shellcheck disable=SC2064  # expand now, not at trap time
@@ -196,6 +199,17 @@ if [[ $MODE == serve || $MODE == all ]]; then
     cat "$SERVE_LOG" >&2
     exit 1
   fi
+  # The live server publishes the engine's state gauges: the drain dump
+  # must carry a nonzero stream.state_bytes.
+  python3 - "$SERVE_METRICS" <<'PY' || exit 1
+import json, sys
+try:
+    gauges = json.load(open(sys.argv[1])).get("gauges", {})
+except (OSError, ValueError) as e:
+    sys.exit(f"serve smoke: no readable DIGG_METRICS dump: {e}")
+if not gauges.get("stream.state_bytes", 0) > 0:
+    sys.exit("serve smoke: drain dump lacks a nonzero stream.state_bytes")
+PY
   # The drain checkpoint must be complete and restorable.
   "$RELEASE_DIR"/examples/serve_digg --inspect "$SERVE_CKPT" \
     | grep -q '^checkpoint ok: ' || {
@@ -204,7 +218,7 @@ if [[ $MODE == serve || $MODE == all ]]; then
     }
   trap - EXIT
   rm -rf "$SERVE_TMP"
-  echo "serve smoke: ingest, verify, drain, and restore all green"
+  echo "serve smoke: ingest, verify, drain, state gauges, and restore all green"
 fi
 
 if [[ $MODE == scenarios || $MODE == all ]]; then

@@ -16,7 +16,6 @@ namespace {
 
 using snapfmt::ByteBuffer;
 using snapfmt::ByteReader;
-using snapfmt::Section;
 
 // On little-endian hosts with 64-bit size_t the in-memory column already
 // has the on-disk u64 layout; elsewhere widen per element.
@@ -32,61 +31,17 @@ void write_u64_column(ByteBuffer& out, std::span<const std::size_t> v) {
   }
 }
 
-ByteBuffer encode_network(const graph::Digraph& g, bool align_columns) {
+ByteBuffer encode_network(const graph::Digraph& g) {
   ByteBuffer out;
   out.pod(static_cast<std::uint64_t>(g.node_count()));
   out.pod(static_cast<std::uint64_t>(g.edge_count()));
   write_u64_column(out, g.out_offsets());
   out.column(g.out_targets());
-  // v2 keeps u64 columns 8-byte aligned within the body so mapped readers
-  // can bind them in place; v1 bodies stay byte-identical to old writers.
-  if (align_columns) out.pad8();
+  // Keep u64 columns 8-byte aligned within the body so mapped readers can
+  // bind them in place.
+  out.pad8();
   write_u64_column(out, g.in_offsets());
   out.column(g.in_sources());
-  return out;
-}
-
-ByteBuffer encode_stories_v1(const Corpus& corpus) {
-  ByteBuffer out;
-  out.pod(static_cast<std::uint64_t>(corpus.front_page.size()));
-  out.pod(static_cast<std::uint64_t>(corpus.upcoming.size()));
-  const auto each = [&](auto&& emit) {
-    for (const Story& s : corpus.front_page) emit(s);
-    for (const Story& s : corpus.upcoming) emit(s);
-  };
-  each([&](const Story& s) { out.pod(s.id); });
-  each([&](const Story& s) { out.pod(s.submitter); });
-  each([&](const Story& s) { out.pod(s.submitted_at); });
-  each([&](const Story& s) { out.pod(s.quality); });
-  each([&](const Story& s) { out.pod(static_cast<std::uint8_t>(s.phase)); });
-  each([&](const Story& s) {
-    out.pod(static_cast<std::uint8_t>(s.promoted() ? 1 : 0));
-  });
-  each([&](const Story& s) { out.pod(s.promoted_at.value_or(0.0)); });
-  return out;
-}
-
-ByteBuffer encode_votes_v1(const Corpus& corpus) {
-  ByteBuffer out;
-  std::uint64_t total = 0;
-  std::vector<std::uint64_t> offsets{0};
-  const auto each = [&](auto&& emit) {
-    for (const Story& s : corpus.front_page) emit(s);
-    for (const Story& s : corpus.upcoming) emit(s);
-  };
-  each([&](const Story& s) {
-    total += s.vote_count();
-    offsets.push_back(total);
-  });
-  out.pod(static_cast<std::uint64_t>(corpus.story_count()));
-  out.pod(total);
-  out.column(offsets);
-  each([&](const Story& s) {
-    out.raw(s.voters().data(), s.voters().size() * sizeof(UserId));
-  });
-  each([&](const Story& s) {
-    out.raw(s.times().data(), s.times().size() * sizeof(platform::Minutes));
-  });
   return out;
 }
 
@@ -107,8 +62,8 @@ std::string read_model_id(const File& file, const std::string& ctx) {
     return dynamics::kLegacyModelId;
   ByteReader r = file.open(snapfmt::kModelInfo);
   const auto len = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  std::string id(len, '\0');
-  r.read_into(id.data(), len);
+  const std::span<const char> bytes = r.borrow(len);  // bounds-checked
+  const std::string id(bytes.begin(), bytes.end());
   if (!dynamics::model_registered(id))
     throw std::runtime_error(ctx + "unknown generative model id '" + id +
                              "' (not in the dynamics::Model registry)");
@@ -147,7 +102,7 @@ SnapshotWriter::SnapshotWriter(const std::filesystem::path& path,
 void SnapshotWriter::write_network(const graph::Digraph& network) {
   if (network_written_)
     throw std::logic_error("SnapshotWriter: network written twice");
-  out_.add(snapfmt::kNetwork, encode_network(network, /*align_columns=*/true));
+  out_.add(snapfmt::kNetwork, encode_network(network));
   network_written_ = true;
 }
 
@@ -239,32 +194,20 @@ void SnapshotWriter::finish() {
 // Whole-corpus save
 
 void save_snapshot(const Corpus& corpus, const std::filesystem::path& path,
-                   std::uint32_t version, std::size_t chunk_target_bytes) {
+                   std::size_t chunk_target_bytes) {
   const auto start = std::chrono::steady_clock::now();
 
-  if (version == kSnapshotVersion) {
-    SnapshotWriter writer(path, chunk_target_bytes);
-    writer.write_network(corpus.network);
-    writer.write_model_id(corpus.model_id);
-    const auto each = [&](auto&& emit) {
-      for (const Story& s : corpus.front_page) emit(s);
-      for (const Story& s : corpus.upcoming) emit(s);
-    };
-    each([&](const Story& s) { writer.add_votes(s.voters(), s.times()); });
-    each([&](const Story& s) { writer.add_story(s); });
-    writer.write_top_users(corpus.top_users);
-    writer.finish();
-  } else if (version == 1) {
-    Section sections[] = {
-        {snapfmt::kNetwork, encode_network(corpus.network, false)},
-        {snapfmt::kStories, encode_stories_v1(corpus)},
-        {snapfmt::kVotes, encode_votes_v1(corpus)},
-        {snapfmt::kTopUsers, encode_top_users(corpus.top_users)}};
-    snapfmt::write_section_file(path, sections, version);
-  } else {
-    throw std::invalid_argument("save_snapshot: unknown version " +
-                                std::to_string(version));
-  }
+  SnapshotWriter writer(path, chunk_target_bytes);
+  writer.write_network(corpus.network);
+  writer.write_model_id(corpus.model_id);
+  const auto each = [&](auto&& emit) {
+    for (const Story& s : corpus.front_page) emit(s);
+    for (const Story& s : corpus.upcoming) emit(s);
+  };
+  each([&](const Story& s) { writer.add_votes(s.voters(), s.times()); });
+  each([&](const Story& s) { writer.add_story(s); });
+  writer.write_top_users(corpus.top_users);
+  writer.finish();
 
   record_save_metrics(path, elapsed_us(start));
 }
@@ -274,8 +217,7 @@ void save_snapshot(const Corpus& corpus, const std::filesystem::path& path,
 
 namespace {
 
-/// The STORIES metadata columns shared by both formats (v1 prepends
-/// front/upcoming counts; v2 stores one total and partitions by flag).
+/// The STORIES metadata columns (one total; loaders partition by flag).
 struct StoryColumns {
   std::size_t count = 0;
   std::vector<StoryId> ids;
@@ -295,10 +237,11 @@ void read_story_columns(ByteReader& r, StoryColumns& cols) {
 }
 
 /// Materialises the story views over corpus.vote_store (already loaded),
-/// assigning slot i to file-order story i. `front_of` decides the bucket.
-template <typename FrontOf>
+/// assigning slot i to file-order story i. Stories partition by the
+/// promotion flag, so file order can be anything (submission order for
+/// streamed files, front-first for saved corpora).
 void emplace_stories(Corpus& corpus, const StoryColumns& cols,
-                     const std::string& ctx, FrontOf&& front_of) {
+                     const std::string& ctx) {
   for (std::size_t i = 0; i < cols.count; ++i) {
     Story s;
     s.id = cols.ids[i];
@@ -313,17 +256,18 @@ void emplace_stories(Corpus& corpus, const StoryColumns& cols,
     s.bind(corpus.vote_store.voters(static_cast<std::uint32_t>(i)),
            corpus.vote_store.times(static_cast<std::uint32_t>(i)),
            static_cast<std::uint32_t>(i));
-    (front_of(i) ? corpus.front_page : corpus.upcoming).push_back(std::move(s));
+    (cols.has_promoted[i] ? corpus.front_page : corpus.upcoming)
+        .push_back(std::move(s));
   }
 }
 
-graph::Digraph decode_network_owned(ByteReader& r, bool aligned,
+graph::Digraph decode_network_owned(ByteReader& r,
                                     const std::string& ctx) {
   const auto n = static_cast<std::size_t>(r.pod<std::uint64_t>());
   const auto edges = static_cast<std::size_t>(r.pod<std::uint64_t>());
   auto out_offsets = r.u64_column(n + 1);
   auto out_targets = r.column<graph::NodeId>(edges);
-  if (aligned) r.align8();
+  r.align8();
   auto in_offsets = r.u64_column(n + 1);
   auto in_sources = r.column<graph::NodeId>(edges);
   try {
@@ -336,58 +280,7 @@ graph::Digraph decode_network_owned(ByteReader& r, bool aligned,
   }
 }
 
-Corpus load_v1(const snapfmt::SectionFile& file) {
-  const std::string& ctx = file.context;
-  Corpus corpus;
-  corpus.model_id = read_model_id(file, ctx);
-
-  {
-    ByteReader r = file.open(snapfmt::kNetwork);
-    corpus.network = decode_network_owned(r, /*aligned=*/false, ctx);
-  }
-
-  std::size_t front_count = 0;
-  StoryColumns cols;
-  {
-    ByteReader r = file.open(snapfmt::kStories);
-    front_count = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    const auto up_count = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    cols.count = front_count + up_count;
-    read_story_columns(r, cols);
-  }
-
-  {
-    ByteReader r = file.open(snapfmt::kVotes);
-    const auto vote_stories = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    if (vote_stories != cols.count)
-      throw std::runtime_error(ctx + "story count mismatch between sections");
-    const auto total = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    auto offsets = r.column<std::uint64_t>(cols.count + 1);
-    auto users = r.column<UserId>(total);
-    auto times = r.column<platform::Minutes>(total);
-    try {
-      corpus.vote_store = VoteStore::from_parts(
-          std::move(offsets), std::move(users), std::move(times));
-    } catch (const std::invalid_argument& err) {
-      throw std::runtime_error(ctx + err.what());
-    }
-  }
-
-  {
-    ByteReader r = file.open(snapfmt::kTopUsers);
-    const auto n = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    corpus.top_users = r.column<UserId>(n);
-  }
-
-  corpus.front_page.reserve(front_count);
-  corpus.upcoming.reserve(cols.count - front_count);
-  // v1 files order stories front page first; partition by position.
-  emplace_stories(corpus, cols, ctx,
-                  [&](std::size_t i) { return i < front_count; });
-  return corpus;
-}
-
-/// The VOTES_INDEX preamble + chunk table shared by both v2 loaders.
+/// The VOTES_INDEX preamble + chunk table shared by both loaders.
 struct VoteIndex {
   std::size_t story_count = 0;
   std::uint64_t total = 0;
@@ -404,7 +297,6 @@ VoteIndex read_vote_index_preamble(ByteReader& r) {
 }
 
 void read_vote_index_chunks(ByteReader& r, VoteIndex& idx) {
-  idx.chunks.reserve(idx.chunk_count);
   for (std::size_t c = 0; c < idx.chunk_count; ++c) {
     const auto story = r.pod<std::uint64_t>();
     const auto vote = r.pod<std::uint64_t>();
@@ -412,14 +304,14 @@ void read_vote_index_chunks(ByteReader& r, VoteIndex& idx) {
   }
 }
 
-Corpus load_v2(const snapfmt::SectionFile& file) {
+Corpus load_eager(const snapfmt::SectionFile& file) {
   const std::string& ctx = file.context;
   Corpus corpus;
   corpus.model_id = read_model_id(file, ctx);
 
   {
     ByteReader r = file.open(snapfmt::kNetwork);
-    corpus.network = decode_network_owned(r, /*aligned=*/true, ctx);
+    corpus.network = decode_network_owned(r, ctx);
   }
 
   StoryColumns cols;
@@ -476,10 +368,7 @@ Corpus load_v2(const snapfmt::SectionFile& file) {
     corpus.top_users = r.column<UserId>(n);
   }
 
-  // v2 partitions by the promotion flag, so file order can be anything
-  // (submission order for streamed files, front-first for saved corpora).
-  emplace_stories(corpus, cols, ctx,
-                  [&](std::size_t i) { return cols.has_promoted[i] != 0; });
+  emplace_stories(corpus, cols, ctx);
   return corpus;
 }
 
@@ -489,8 +378,7 @@ Corpus load_snapshot(const std::filesystem::path& path) {
   const auto start = std::chrono::steady_clock::now();
 
   const snapfmt::SectionFile file = snapfmt::read_section_file(path);
-  Corpus corpus =
-      file.version == kSnapshotVersion ? load_v2(file) : load_v1(file);
+  Corpus corpus = load_eager(file);
 
   validate(corpus);
 
@@ -508,17 +396,6 @@ Corpus load_snapshot(const std::filesystem::path& path) {
 
 Corpus load_snapshot_mmap(const std::filesystem::path& path) {
   const auto start = std::chrono::steady_clock::now();
-
-  // v1 files predate per-section checksums and column alignment, so the
-  // mapped zero-copy binding cannot apply; route them through the eager
-  // loader for compatibility.
-  if (snapfmt::peek_version(path) == 1) {
-    Corpus corpus = load_snapshot(path);
-    obs::Registry::global()
-        .gauge("data.snapshot_mmap_load_us")
-        .set(elapsed_us(start));
-    return corpus;
-  }
 
   auto map = std::make_shared<const snapfmt::MmapSectionFile>(path);
   const std::string& ctx = map->context();
@@ -553,7 +430,7 @@ Corpus load_snapshot_mmap(const std::filesystem::path& path) {
     } else {
       // Hosts without the native u64 layout copy the graph (the vote
       // columns below still bind zero-copy — u32/f64 need no widening).
-      corpus.network = decode_network_owned(r, /*aligned=*/true, ctx);
+      corpus.network = decode_network_owned(r, ctx);
     }
   }
 
@@ -612,8 +489,7 @@ Corpus load_snapshot_mmap(const std::filesystem::path& path) {
     corpus.top_users = r.column<UserId>(n);
   }
 
-  emplace_stories(corpus, cols, ctx,
-                  [&](std::size_t i) { return cols.has_promoted[i] != 0; });
+  emplace_stories(corpus, cols, ctx);
 
   // O(stories) structural checks in place of the eager loader's
   // O(votes log votes) content validation (see header).

@@ -11,7 +11,7 @@
 // snapshot_format.h and is shared with the stream-engine checkpoints; this
 // header is the corpus-specific payload on top of it.
 //
-// Corpus sections, format v2 (all section bodies start 8-byte aligned so
+// Corpus sections (all section bodies start 8-byte aligned so
 // mapped readers can bind typed spans; `pad` = zero bytes to the next
 // 8-byte boundary):
 //   1 NETWORK      u64 n, u64 e, out_offsets u64[n+1], out_targets u32[e],
@@ -42,15 +42,9 @@
 // bounded working set and a mapped reader can verify chunk checksums in
 // parallel.
 //
-// Format v1 (still loadable; save_snapshot can still emit it):
-//   3 VOTES        u64 S, u64 total, offsets u64[S+1], users u32[total],
-//                  times f64[total] — one monolithic body
-//   2 STORIES      u64 front_count, u64 upcoming_count, then the same
-//                  columns as v2, stories ordered front page first
-//
-// Readers reject files with a version newer than kSnapshotVersion
-// ("unsupported version"), truncated files, bad magic, and checksum
-// mismatches with distinct messages (see snapshot_format.h).
+// Readers reject any version other than kSnapshotVersion ("unsupported
+// version N" — the retired v1 included), truncated files, bad magic, and
+// checksum mismatches with distinct messages (see snapshot_format.h).
 
 #include <cstdint>
 #include <filesystem>
@@ -133,14 +127,11 @@ class SnapshotWriter {
 };
 
 /// Writes `corpus` as a binary snapshot at `path` (parent directories are
-/// created). `version` selects the on-disk layout (v2 default; v1 kept for
-/// compatibility with old readers). Throws std::runtime_error on I/O
-/// failure.
+/// created). Throws std::runtime_error on I/O failure.
 void save_snapshot(const Corpus& corpus, const std::filesystem::path& path,
-                   std::uint32_t version = kSnapshotVersion,
                    std::size_t chunk_target_bytes = kDefaultVoteChunkBytes);
 
-/// Loads a snapshot written by save_snapshot (either version). Verifies
+/// Loads a snapshot written by save_snapshot. Verifies
 /// magic, version, and every checksum, then validates the corpus (see
 /// corpus.h) before returning. The corpus owns all its columns. Throws
 /// std::runtime_error on I/O, format, or integrity errors.
@@ -155,10 +146,8 @@ void save_snapshot(const Corpus& corpus, const std::filesystem::path& path,
 /// cross-consistency, CSR shape) are checked, but the per-story O(V log V)
 /// content validation of load_snapshot is skipped — the per-section
 /// checksums already vouch for the bytes, and the file carries the same
-/// invariants save_snapshot enforced when writing. v1 files are routed
-/// through the eager loader (they predate per-section checksums and
-/// alignment). The returned corpus keeps the mapping alive via
-/// Corpus::backing; copies share it.
+/// invariants save_snapshot enforced when writing. The returned corpus
+/// keeps the mapping alive via Corpus::backing; copies share it.
 [[nodiscard]] Corpus load_snapshot_mmap(const std::filesystem::path& path);
 
 }  // namespace digg::data

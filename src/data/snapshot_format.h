@@ -6,12 +6,13 @@
 // versioning, truncation detection, and integrity checking for free, and
 // the malformed-file error taxonomy stays identical across artifact kinds.
 //
-// Version 2 layout (all integers little-endian; written on little-endian
-// hosts). The table moved to the end of the file so sections can be
-// streamed to disk as they are produced, every section body starts on an
-// 8-byte boundary so memory-mapped readers can bind typed column spans
-// directly into the file, and each section carries its own checksum so a
-// mapped reader can verify sections lazily on first open:
+// Version 2 layout, the only one written or read (all integers
+// little-endian; written on little-endian hosts). The table sits at the end
+// of the file so sections can be streamed to disk as they are produced,
+// every section body starts on an 8-byte boundary so memory-mapped readers
+// can bind typed column spans directly into the file, and each section
+// carries its own checksum so a mapped reader can verify sections lazily
+// on first open:
 //   header   24 bytes  "DIGGSNAP" + u32 version + u32 count
 //                      + u64 table_offset
 //   payload  section bodies, each padded to an 8-byte-aligned offset
@@ -20,21 +21,14 @@
 //   checksum u64       FNV-1a over header bytes then table bytes
 //                      (section bodies are covered per-entry)
 //
-// Version 1 layout (still readable; `write_section_file` can still emit it
-// for compatibility tests):
-//   magic    8 bytes  "DIGGSNAP"
-//   version  u32      1
-//   count    u32      number of section-table entries
-//   table    count * {u32 type, u32 flags, u64 offset, u64 size}
-//   payload  section bodies at their table offsets
-//   checksum u64      FNV-1a over 8-byte LE words of every preceding byte
-//                     (final partial word zero-padded)
+// Version 1 (a leading table and one whole-file checksum) is retired:
+// readers refuse it as "unsupported version 1".
 //
 // Section-type registry (ids are global across artifact kinds so a reader
 // handed the wrong artifact fails with "missing section", not garbage):
 //    1 NETWORK       corpus fan graph          (snapshot.cpp)
 //    2 STORIES       corpus story metadata     (snapshot.cpp)
-//    3 VOTES         corpus vote columns, one body      (v1 snapshots)
+//    3 (retired)     v1 monolithic vote columns; do not reuse
 //    4 TOPUSERS      corpus top-user ranking   (snapshot.cpp)
 //    5 VOTES_INDEX   chunked vote offsets + chunk table (v2 snapshots)
 //    6 VOTES_USERS   one voter-column chunk (repeated; i-th entry = chunk i)
@@ -42,9 +36,8 @@
 //    8 MODELINFO     generative model id       (snapshot.cpp)
 //   16 STREAM_META   stream checkpoint header  (src/stream/checkpoint.cpp)
 //   17 STREAM_STATE  stream per-story progress (src/stream/checkpoint.cpp)
-//   18 SERVE_STORIES live-ingest story identities + bounded vote prefixes
-//                    (src/stream/checkpoint.cpp; present in live-mode
-//                    checkpoints only)
+//   18 STORY_TABLE   stream story identities + bounded vote prefixes
+//                    (src/stream/checkpoint.cpp)
 // Unknown types are ignored by readers (forward-compatible extensions);
 // claim a fresh id here before writing a new section kind. A type may
 // repeat (chunked sections); `find`/`open` return the first entry and
@@ -76,7 +69,6 @@ namespace snapfmt {
 enum SectionType : std::uint32_t {
   kNetwork = 1,
   kStories = 2,
-  kVotes = 3,
   kTopUsers = 4,
   kVotesIndex = 5,
   kVotesUsers = 6,
@@ -84,7 +76,7 @@ enum SectionType : std::uint32_t {
   kModelInfo = 8,
   kStreamMeta = 16,
   kStreamState = 17,
-  kServeStories = 18,
+  kStoryTable = 18,
 };
 
 struct SectionEntry {
@@ -92,12 +84,10 @@ struct SectionEntry {
   std::uint32_t flags = 0;
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
-  std::uint64_t checksum = 0;  // per-section FNV-1a (v2 files only)
+  std::uint64_t checksum = 0;  // per-section FNV-1a
 };
-inline constexpr std::size_t kEntryBytes = 24;    // v1 on-disk entry
-inline constexpr std::size_t kHeaderBytes = 16;   // v1: magic+version+count
-inline constexpr std::size_t kEntryBytesV2 = 32;  // + u64 checksum
-inline constexpr std::size_t kHeaderBytesV2 = 24;  // + u64 table_offset
+inline constexpr std::size_t kEntryBytes = 32;
+inline constexpr std::size_t kHeaderBytes = 24;  // magic+version+count+offset
 
 /// FNV-1a over 8-byte little-endian words, final partial word zero-padded.
 /// Word-at-a-time keeps the multiply chain 8x shorter than the classic
@@ -166,7 +156,7 @@ class ByteReader {
     std::memcpy(dst, data_ + pos_, bytes);
     pos_ += bytes;
   }
-  /// Skip forward so the cursor sits on an 8-byte boundary (v2 sections
+  /// Skip forward so the cursor sits on an 8-byte boundary (sections
   /// zero-pad between columns of different widths).
   void align8() {
     if (pos_ % 8 != 0) {
@@ -185,6 +175,7 @@ class ByteReader {
   }
   template <typename T>
   std::vector<T> column(std::size_t count) {
+    require(count, sizeof(T));  // before allocating: counts come from files
     std::vector<T> v(count);
     if (count > 0) read_into(v.data(), count * sizeof(T));
     return v;
@@ -198,6 +189,7 @@ class ByteReader {
     static_assert(std::is_same_v<SizeT, std::size_t>,
                   "u64_column always yields size_t; the template parameter "
                   "only defers the layout checks below");
+    require(count, sizeof(std::uint64_t));
     std::vector<SizeT> v(count);
     if constexpr (sizeof(SizeT) == sizeof(std::uint64_t) &&
                   std::endian::native == std::endian::little) {
@@ -213,6 +205,13 @@ class ByteReader {
   }
 
  private:
+  /// Throws the truncation error unless `count` items of `width` bytes
+  /// remain. Division, not multiplication, so a hostile count cannot wrap.
+  void require(std::size_t count, std::size_t width) const {
+    if (pos_ > size_ || count > (size_ - pos_) / width)
+      throw std::runtime_error("truncated file (section overruns payload)");
+  }
+
   const char* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
@@ -224,7 +223,7 @@ struct Section {
   ByteBuffer body;
 };
 
-/// Streams a v2 container to disk section by section: sections are written
+/// Streams a container to disk section by section: sections are written
 /// (and checksummed) as they are added, the table and trailing checksum
 /// land in `finish()`. Working set is one section body at a time — this is
 /// what lets million-user corpus generation write votes in bounded RAM.
@@ -258,24 +257,21 @@ class SectionFileWriter {
   std::filesystem::path path_;
   std::ofstream out_;
   std::vector<SectionEntry> table_;
-  std::uint64_t offset_ = kHeaderBytesV2;
+  std::uint64_t offset_ = kHeaderBytes;
   bool finished_ = false;
 };
 
-/// Assembles and writes a whole container in one call. `version` selects
-/// the on-disk layout (v2 default; v1 kept for compatibility tests and
-/// old-reader interop). Throws std::runtime_error on I/O failure.
+/// Assembles and writes a whole container in one call. Throws
+/// std::runtime_error on I/O failure.
 void write_section_file(const std::filesystem::path& path,
-                        std::span<const Section> sections,
-                        std::uint32_t version = kSnapshotVersion);
+                        std::span<const Section> sections);
 
 /// A validated, fully-read container file. `bytes` owns the payload; table
-/// offsets index into it. All checksums are verified eagerly (v1: whole
-/// file; v2: header/table plus every section).
+/// offsets index into it. Every checksum (header/table plus each section)
+/// is verified eagerly.
 struct SectionFile {
   std::vector<char> bytes;
   std::vector<SectionEntry> table;
-  std::uint32_t version = 0;
 
   /// The first entry for `type`; throws "<path>: missing section N" if
   /// absent.
@@ -296,11 +292,7 @@ struct SectionFile {
 /// validate.
 [[nodiscard]] SectionFile read_section_file(const std::filesystem::path& path);
 
-/// The container version of `path` (reads only the fixed header; throws
-/// the same truncation/magic errors as the full readers).
-[[nodiscard]] std::uint32_t peek_version(const std::filesystem::path& path);
-
-/// A memory-mapped v2 container. Header and table are validated eagerly
+/// A memory-mapped container. Header and table are validated eagerly
 /// (magic, version, bounds, header/table checksum); each section's own
 /// checksum is verified lazily on the first `open`/`view` of its entry, so
 /// opening a multi-gigabyte snapshot costs milliseconds and sections that

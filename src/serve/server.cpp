@@ -127,7 +127,6 @@ std::uint16_t Server::start() {
 
   obs::log_info("serve", "listening",
                 {{"port", static_cast<unsigned>(port_)},
-                 {"determinism", params_.determinism},
                  {"checkpoint_ms", params_.checkpoint_ms}});
   return port_;
 }
@@ -194,9 +193,8 @@ void Server::frontend_main() {
   IdMap ids;
   std::uint32_t next_slot = engine_.story_count();
   for (std::uint32_t slot = 0; slot < next_slot; ++slot)
-    ids.insert(engine_.query_story(slot).id, slot);
+    ids.insert(engine_.story_id(slot), slot);
 
-  std::uint64_t next_seq = 0;
   std::uint64_t votes_seen = 0;
 
   auto close_conn = [&](int fd) {
@@ -253,7 +251,6 @@ void Server::frontend_main() {
       const auto mapped = ids.lookup(v->story_id);
       if (mapped == 0) return send_error(c, ErrorCode::kUnknownStory, v->story_id);
       VoteEntry e{};
-      e.seq = next_seq++;
       e.slot = mapped - 1;
       e.voter = v->voter;
       e.time = v->time;
@@ -270,12 +267,10 @@ void Server::frontend_main() {
       if (ids.lookup(s->story_id) != 0)
         return send_error(c, ErrorCode::kDuplicateStory, s->story_id);
       SubmitEntry e{};
-      e.seq = next_seq++;
       e.slot = next_slot++;
       e.id = s->story_id;
       e.submitter = s->submitter;
       e.time = s->time;
-      e.stamp_ns = 0;
       ids.insert(s->story_id, e.slot);
       while (!submit_q_->try_push(e)) {
         backpressure.inc();
@@ -450,18 +445,6 @@ void Server::coordinator_main() {
   std::vector<SubmitEntry> submits;
   std::array<std::vector<VoteEntry>, kShards> shard_pending;
 
-  // Determinism mode: the strict global order is reconstructed from the
-  // front-end's sequence numbers; any gap (an event claimed but popped from
-  // another ring in a later cycle) defers the tail to the next cycle.
-  struct SeqEvent {
-    std::uint64_t seq = 0;
-    bool is_submit = false;
-    SubmitEntry submit{};
-    VoteEntry vote{};
-  };
-  std::vector<SeqEvent> seq_pending;
-  std::uint64_t next_seq = 0;
-
   std::vector<ControlItem> carried;  // popped last cycle, answered this one
   std::vector<ControlItem> fresh;
 
@@ -503,72 +486,44 @@ void Server::coordinator_main() {
     }
 
     // --- Apply. ----------------------------------------------------------
+    // Submits first, serially, in ring order — which is slot-assignment
+    // order, so the engine's slots match the front-end's.
     std::uint64_t applied = 0;
-    if (params_.determinism) {
-      for (const auto& e : submits)
-        seq_pending.push_back({e.seq, true, e, {}});
-      for (auto& pending : shard_pending) {
-        for (const auto& v : pending)
-          seq_pending.push_back({v.seq, false, {}, v});
-        pending.clear();
-      }
-      std::sort(seq_pending.begin(), seq_pending.end(),
-                [](const SeqEvent& a, const SeqEvent& b) {
-                  return a.seq < b.seq;
-                });
-      std::size_t i = 0;
-      while (i < seq_pending.size() && seq_pending[i].seq == next_seq) {
-        const auto& e = seq_pending[i];
-        if (e.is_submit) {
-          engine_.live_submit(e.submit.id, e.submit.submitter, e.submit.time);
-        } else {
-          engine_.live_vote(e.vote.slot, e.vote.voter, e.vote.time);
-          if (e.vote.stamp_ns != 0)
-            ingest_us.observe(
-                static_cast<double>(now_ns() - e.vote.stamp_ns) / 1e3);
-        }
-        ++next_seq;
-        ++i;
-        ++applied;
-      }
-      seq_pending.erase(seq_pending.begin(),
-                        seq_pending.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      // Submits first, serially, in ring order — which is slot-assignment
-      // order, so the engine's slots match the front-end's.
-      for (const auto& e : submits) {
-        engine_.live_submit(e.id, e.submitter, e.time);
-        ++applied;
-      }
-      // Votes per shard in FIFO order, shards in parallel (live_vote's
-      // shard-exclusivity contract). A vote whose submit has not been
-      // applied yet (slot beyond the current story table) stays pending —
-      // its submit is at most one cycle behind.
-      std::array<std::uint64_t, kShards> done{};
-      const std::uint32_t known = engine_.story_count();
-      runtime::parallel_for(
-          kShards,
-          [&](std::size_t s) {
-            auto& pending = shard_pending[s];
-            if (pending.empty()) return;
-            std::size_t kept = 0;
-            for (const auto& e : pending) {
-              if (e.slot >= known) {
-                pending[kept++] = e;
-                continue;
-              }
-              engine_.live_vote(e.slot, e.voter, e.time);
-              if (e.stamp_ns != 0)
-                ingest_us.observe(
-                    static_cast<double>(now_ns() - e.stamp_ns) / 1e3);
-              ++done[s];
-            }
-            pending.resize(kept);
-          },
-          {.grain = 1});
-      for (const auto d : done) applied += d;
+    for (const auto& e : submits) {
+      engine_.live_submit(e.id, e.submitter, e.time);
+      ++applied;
     }
-    if (applied > 0) engine_.note_events_applied(applied);
+    // Votes per shard in FIFO order, shards in parallel (live_vote's
+    // shard-exclusivity contract). A vote whose submit has not been
+    // applied yet (slot beyond the current story table) stays pending —
+    // its submit is at most one cycle behind.
+    std::array<std::uint64_t, kShards> done{};
+    const std::uint32_t known = engine_.story_count();
+    runtime::parallel_for(
+        kShards,
+        [&](std::size_t s) {
+          auto& pending = shard_pending[s];
+          if (pending.empty()) return;
+          std::size_t kept = 0;
+          for (const auto& e : pending) {
+            if (e.slot >= known) {
+              pending[kept++] = e;
+              continue;
+            }
+            engine_.live_vote(e.slot, e.voter, e.time);
+            if (e.stamp_ns != 0)
+              ingest_us.observe(
+                  static_cast<double>(now_ns() - e.stamp_ns) / 1e3);
+            ++done[s];
+          }
+          pending.resize(kept);
+        },
+        {.grain = 1});
+    for (const auto d : done) applied += d;
+    if (applied > 0) {
+      engine_.note_events_applied(applied);
+      engine_.publish_state_gauges();
+    }
 
     // --- Answer controls popped LAST cycle (see protocol.h barrier). -----
     for (const auto& item : carried) answer(item);
@@ -604,13 +559,14 @@ void Server::coordinator_main() {
       const bool votes_drained =
           std::all_of(shard_pending.begin(), shard_pending.end(),
                       [](const auto& v) { return v.empty(); });
-      if (idle && votes_drained && seq_pending.empty()) break;
+      if (idle && votes_drained) break;
       continue;  // drain as fast as possible
     }
     if (idle)
       std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 
+  engine_.publish_state_gauges();
   // Final synchronous checkpoint: the durable artifact of a graceful drain.
   if (!params_.checkpoint_path.empty()) {
     try {

@@ -5,22 +5,26 @@
 //
 //   front-end (epoll)  — accepts connections on 127.0.0.1, decodes frames,
 //     validates story ids (it owns the id->slot map, so lookups are
-//     lock-free), stamps each accepted event with a global sequence number
-//     and hands it off: submits onto one dedicated ring (its FIFO order IS
-//     slot-assignment order), votes onto one lock-free MPSC ring per engine
-//     shard (mpsc_queue.h), queries/syncs onto a small mutex-guarded deque.
+//     lock-free), and hands each accepted event off: submits onto one
+//     dedicated ring (its FIFO order IS slot-assignment order), votes onto
+//     one lock-free MPSC ring per engine shard (mpsc_queue.h), queries/syncs
+//     onto a small mutex-guarded deque.
 //     Replies travel back through per-connection outboxes; an eventfd wakes
 //     the front-end to flush them.
 //
 //   coordinator        — the single ring consumer and the ONLY engine
 //     mutator. Each drain cycle pops submits (applied serially: slot order
-//     is push order), pops every vote ring, and applies votes. Throughput
-//     mode applies each shard's FIFO batch via parallel_for — sound because
-//     live_vote is shard-exclusive and cross-story order within a shard
-//     does not affect per-story state; only cross-shard interleaving is
-//     relaxed. Determinism mode instead applies strictly in sequence-number
-//     order (deferring past any gap), so a run's engine state — and its
-//     checkpoints — are bit-identical to any other arrival-equivalent run.
+//     is push order), pops every vote ring, and applies each shard's FIFO
+//     batch via parallel_for (live_vote is shard-exclusive). This one drain
+//     is exact, not an approximation of a global order: every engine
+//     outcome depends only on its own story's vote prefix (the paper's v10
+//     and fans1 inputs are per-story), the single front-end enqueues each
+//     story's votes in decode order, and the shard ring is FIFO. So two
+//     runs that deliver the same submits in the same order and the same
+//     per-story vote orders end in bit-identical engine state — and drain
+//     checkpoints — whatever the cross-story interleaving. The engine's
+//     state gauges are published once per cycle that applied events, and
+//     at drain.
 //     Queries and syncs popped in cycle k are answered at the end of cycle
 //     k+1: every event enqueued before the control item was enqueued is in
 //     its ring before cycle k+1's pops begin, so the reply reflects all of
@@ -63,12 +67,6 @@ struct ServeParams {
   stream::StreamParams stream;
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (start() returns it).
   std::uint16_t port = 0;
-  /// Determinism mode: apply events in strict global sequence order, so
-  /// engine state and checkpoints are reproducible bit for bit. Throughput
-  /// mode (default) relaxes ONLY cross-shard interleaving — per-story
-  /// outcomes are identical either way; the bits of a mid-stream checkpoint
-  /// may differ in event-global counters' interleaving history.
-  bool determinism = false;
   /// Background checkpoint cadence in milliseconds; 0 disables periodic
   /// checkpoints (the drain checkpoint still happens when a path is set).
   std::uint32_t checkpoint_ms = 0;
@@ -125,19 +123,16 @@ class Server {
   // Ring payloads (trivially copyable by MpscQueue contract). stamp_ns is
   // nonzero on sampled events only (every 256th) and feeds serve.ingest_us.
   struct VoteEntry {
-    std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t voter;
     double time;
     std::uint64_t stamp_ns;
   };
   struct SubmitEntry {
-    std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t id;
     std::uint32_t submitter;
     double time;
-    std::uint64_t stamp_ns;
   };
 
   /// Per-connection reply buffer: the coordinator appends encoded replies

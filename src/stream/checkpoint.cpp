@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,9 +34,9 @@ struct Meta {
   std::uint64_t story_count = 0;
   std::uint64_t interesting_threshold = 0;
   std::uint32_t promotion_threshold = 0;
-  bool bayes_enabled = false;  // v1 files read as disabled
+  bool bayes_enabled = false;
   std::uint32_t bayes_fit_at = 0;
-  bool live = false;  // v1/v2 files read as replay checkpoints
+  bool live = false;
   std::vector<std::uint32_t> cascade_cps;
   std::vector<std::uint32_t> influence_cps;
 };
@@ -44,7 +45,7 @@ Meta read_meta(const snapfmt::SectionFile& file) {
   snapfmt::ByteReader r = file.open(snapfmt::kStreamMeta);
   Meta m;
   m.version = r.pod<std::uint32_t>();
-  if (m.version > kStreamCheckpointVersion)
+  if (m.version != kStreamCheckpointVersion)
     throw std::runtime_error(file.context +
                              "unsupported stream checkpoint version " +
                              std::to_string(m.version));
@@ -55,11 +56,9 @@ Meta read_meta(const snapfmt::SectionFile& file) {
   m.story_count = r.pod<std::uint64_t>();
   m.interesting_threshold = r.pod<std::uint64_t>();
   m.promotion_threshold = r.pod<std::uint32_t>();
-  if (m.version >= 2) {
-    m.bayes_enabled = r.pod<std::uint32_t>() != 0;
-    m.bayes_fit_at = r.pod<std::uint32_t>();
-  }
-  if (m.version >= 3) m.live = r.pod<std::uint32_t>() != 0;
+  m.bayes_enabled = r.pod<std::uint32_t>() != 0;
+  m.bayes_fit_at = r.pod<std::uint32_t>();
+  m.live = r.pod<std::uint32_t>() != 0;
   // Bound the list lengths before allocating: a corrupt count must fail
   // cleanly, not attempt a multi-gigabyte vector.
   const auto checked_count = [&](const char* what) {
@@ -85,7 +84,7 @@ CheckpointInfo read_checkpoint_info(const std::filesystem::path& path) {
 
 std::vector<snapfmt::Section> StreamEngine::checkpoint_sections() const {
   const std::uint64_t story_count = progress_.size();
-  std::vector<snapfmt::Section> sections(live() ? 3 : 2);
+  std::vector<snapfmt::Section> sections(3);
 
   sections[0].type = snapfmt::kStreamMeta;
   snapfmt::ByteBuffer& meta = sections[0].body;
@@ -112,12 +111,13 @@ std::vector<snapfmt::Section> StreamEngine::checkpoint_sections() const {
   std::vector<std::uint64_t> applied(story_count);
   std::vector<std::uint32_t> innetwork(story_count);
   std::vector<std::uint8_t> flags(story_count);
-  std::vector<double> promoted(story_count, 0.0);
+  std::vector<double> promoted(story_count), last_time(story_count);
   for (std::uint64_t slot = 0; slot < story_count; ++slot) {
     applied[slot] = progress_[slot].applied;
     innetwork[slot] = progress_[slot].innetwork;
     flags[slot] = progress_[slot].flags;
     promoted[slot] = progress_[slot].promoted_time;
+    last_time[slot] = progress_[slot].last_time;
   }
   state.column(applied);
   state.column(innetwork);
@@ -136,28 +136,23 @@ std::vector<snapfmt::Section> StreamEngine::checkpoint_sections() const {
     state.column(estimates);
   }
 
-  if (live()) {
-    sections[2].type = snapfmt::kServeStories;
-    snapfmt::ByteBuffer& live_body = sections[2].body;
-    std::vector<std::uint32_t> ids(story_count), submitters(story_count),
-        prefix_len(story_count);
-    std::vector<double> last_time(story_count);
-    for (std::uint64_t slot = 0; slot < story_count; ++slot) {
-      const LiveStory& ls = live_stories_[slot];
-      ids[slot] = ls.id;
-      submitters[slot] = ls.submitter;
-      prefix_len[slot] = static_cast<std::uint32_t>(ls.prefix_voters.size());
-      last_time[slot] = ls.last_time;
-    }
-    live_body.column(ids);
-    live_body.column(submitters);
-    live_body.column(prefix_len);
-    live_body.pad8();
-    live_body.column(last_time);
-    for (const LiveStory& ls : live_stories_) live_body.column(ls.prefix_voters);
-    live_body.pad8();
-    for (const LiveStory& ls : live_stories_) live_body.column(ls.prefix_times);
-  }
+  // The story table: identities, per-story time watermarks, and each
+  // story's applied prefix (min(applied, horizon) votes, concatenated).
+  sections[2].type = snapfmt::kStoryTable;
+  snapfmt::ByteBuffer& table = sections[2].body;
+  table.column(ids_);
+  table.column(submitters_);
+  table.pad8();
+  table.column(last_time);
+  const auto prefix = [&](const auto& column, std::uint64_t slot) {
+    return std::span(column.data() + slot * horizon_,
+                     std::min(progress_[slot].applied, horizon_));
+  };
+  for (std::uint64_t slot = 0; slot < story_count; ++slot)
+    table.column(prefix(prefix_voters_, slot));
+  table.pad8();
+  for (std::uint64_t slot = 0; slot < story_count; ++slot)
+    table.column(prefix(prefix_times_, slot));
 
   return sections;
 }
@@ -206,9 +201,9 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
       (m.bayes_enabled && m.bayes_fit_at != params_.bayes.fit_at))
     throw std::runtime_error(ctx + "checkpoint engine config mismatch");
 
-  const std::size_t story_count =
-      m.live ? static_cast<std::size_t>(m.story_count) : progress_.size();
-  snapfmt::ByteReader r = file.open(snapfmt::kStreamState);
+  // Column reads are bounds-checked before they allocate, so a forged
+  // story count fails here as a truncated section.
+  const auto story_count = static_cast<std::size_t>(m.story_count);
   std::vector<std::uint64_t> applied;
   std::vector<std::uint32_t> innetwork;
   std::vector<std::uint8_t> flags;
@@ -217,10 +212,11 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
   std::vector<std::uint32_t> influence_rec;
   std::vector<double> bayes_exposure;
   std::vector<float> bayes_estimates;
-  std::vector<std::uint32_t> live_ids, live_submitters, live_prefix_len;
-  std::vector<double> live_last_time, live_times_flat;
-  std::vector<std::uint32_t> live_voters_flat;
+  std::vector<platform::StoryId> ids;
+  std::vector<platform::UserId> submitters, prefix_voters;
+  std::vector<double> last_time, prefix_times;
   try {
+    snapfmt::ByteReader r = file.open(snapfmt::kStreamState);
     applied = r.column<std::uint64_t>(story_count);
     innetwork = r.column<std::uint32_t>(story_count);
     flags = r.column<std::uint8_t>(story_count);
@@ -232,23 +228,17 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
       bayes_exposure = r.column<double>(story_count);
       bayes_estimates = r.column<float>(story_count);
     }
-    if (m.live) {
-      snapfmt::ByteReader lr = file.open(snapfmt::kServeStories);
-      live_ids = lr.column<std::uint32_t>(story_count);
-      live_submitters = lr.column<std::uint32_t>(story_count);
-      live_prefix_len = lr.column<std::uint32_t>(story_count);
-      std::uint64_t total_prefix = 0;
-      for (const std::uint32_t n : live_prefix_len) {
-        if (n > horizon_)
-          throw std::runtime_error("checkpoint live prefix exceeds horizon");
-        total_prefix += n;
-      }
-      lr.align8();
-      live_last_time = lr.column<double>(story_count);
-      live_voters_flat = lr.column<std::uint32_t>(total_prefix);
-      lr.align8();
-      live_times_flat = lr.column<double>(total_prefix);
-    }
+    std::uint64_t prefix_total = 0;
+    for (const std::uint64_t a : applied)
+      prefix_total += std::min(a, horizon_);
+    snapfmt::ByteReader t = file.open(snapfmt::kStoryTable);
+    ids = t.column<platform::StoryId>(story_count);
+    submitters = t.column<platform::UserId>(story_count);
+    t.align8();
+    last_time = t.column<double>(story_count);
+    prefix_voters = t.column<platform::UserId>(prefix_total);
+    t.align8();
+    prefix_times = t.column<double>(prefix_total);
   } catch (const std::runtime_error& err) {
     throw std::runtime_error(ctx + err.what());
   }
@@ -260,7 +250,7 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
   // recomputes the expected prefix with the same counting merge run_until
   // uses, from zeroed cursors; live mode has no stream to merge, so the
   // check degrades to the per-story sum matching the global counter (plus
-  // the prefix-shape checks below).
+  // the story-table checks below).
   std::vector<std::uint64_t> expect;
   if (m.live) {
     std::uint64_t sum = 0;
@@ -276,18 +266,8 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
     if (!m.live && applied[slot] != expect[slot])
       throw std::runtime_error(ctx +
                                "checkpoint progress is not a stream prefix");
-    if (m.live) {
-      if (live_submitters[slot] >= network_->node_count())
-        throw std::runtime_error(ctx +
-                                 "checkpoint live submitter out of range");
-      const std::uint64_t want_prefix =
-          std::min<std::uint64_t>(applied[slot], horizon_);
-      if (live_prefix_len[slot] != want_prefix)
-        throw std::runtime_error(ctx +
-                                 "checkpoint live prefix length mismatch");
-      if (applied[slot] == 0)
-        throw std::runtime_error(ctx + "checkpoint live story has no votes");
-    }
+    if (m.live && applied[slot] == 0)
+      throw std::runtime_error(ctx + "checkpoint live story has no votes");
     if (innetwork[slot] > applied[slot])
       throw std::runtime_error(ctx + "checkpoint in-network count impossible");
     if ((flags[slot] & ~(kHasPrediction | kPredictedYes | kPromoted |
@@ -333,78 +313,83 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
     }
   }
 
-  // Live prefix columns: the bounded prefixes must themselves be valid
-  // replay material — voters in graph range, times non-decreasing, vote 0
-  // the submitter's own digg, and the per-story watermark at or past the
-  // buffered tail. An LRU rebuild replays exactly these columns, so a
-  // corrupt prefix would otherwise surface as undefined visibility state.
-  if (m.live) {
-    std::size_t off = 0;
-    for (std::size_t slot = 0; slot < story_count; ++slot) {
-      const std::uint32_t n = live_prefix_len[slot];
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (live_voters_flat[off + i] >= network_->node_count())
-          throw std::runtime_error(ctx + "checkpoint live voter out of range");
-        if (i > 0 && live_times_flat[off + i] < live_times_flat[off + i - 1])
-          throw std::runtime_error(ctx +
-                                   "checkpoint live prefix times unsorted");
-      }
-      if (n > 0) {
-        if (live_voters_flat[off] != live_submitters[slot])
-          throw std::runtime_error(
-              ctx + "checkpoint live vote 0 is not the submitter");
-        if (live_last_time[slot] < live_times_flat[off + n - 1])
-          throw std::runtime_error(
-              ctx + "checkpoint live time watermark behind prefix");
-      }
-      off += n;
+  // Story table: the prefixes must be valid replay material — voters in
+  // graph range, times non-decreasing, vote 0 the submitter's own digg, and
+  // the watermark at or past the prefix tail. An LRU rebuild replays
+  // exactly these columns, so a corrupt prefix would otherwise surface as
+  // undefined visibility state. A replay engine also holds the stream the
+  // table was copied from, so there the table must match it exactly.
+  std::size_t off = 0;
+  for (std::size_t slot = 0; slot < story_count; ++slot) {
+    const std::size_t n = std::min(applied[slot], horizon_);
+    const std::span<const platform::UserId> voters(
+        prefix_voters.data() + off, n);
+    const std::span<const double> times(prefix_times.data() + off, n);
+    off += n;
+    if (submitters[slot] >= network_->node_count())
+      throw std::runtime_error(ctx + "checkpoint submitter out of range");
+    for (std::size_t i = 0; i < n; ++i) {
+      if (voters[i] >= network_->node_count())
+        throw std::runtime_error(ctx + "checkpoint voter out of range");
+      if (i > 0 && times[i] < times[i - 1])
+        throw std::runtime_error(ctx + "checkpoint prefix times unsorted");
     }
+    if (n > 0 && voters[0] != submitters[slot])
+      throw std::runtime_error(ctx + "checkpoint vote 0 is not the submitter");
+    if (n > 0 && last_time[slot] < times[n - 1])
+      throw std::runtime_error(ctx +
+                               "checkpoint time watermark behind prefix");
+    if (m.live) continue;
+    const platform::StoryView& sv = stream_->stories[slot];
+    const std::uint64_t a = applied[slot];
+    if (ids[slot] != sv.id || submitters[slot] != sv.submitter ||
+        !std::ranges::equal(voters, sv.voters().first(n)) ||
+        !std::ranges::equal(times, sv.times().first(n)) ||
+        last_time[slot] != (a > 0 ? sv.times()[a - 1] : 0.0))
+      throw std::runtime_error(ctx +
+                               "checkpoint story table does not match the "
+                               "stream");
   }
 
-  // Commit. Visibility pools are dropped — they rebuild lazily from the
-  // restored prefixes, so no stale derived state can survive a restore;
-  // replay cursors need no recompute because the per-story progress IS the
-  // cursor state the counting merge resumes from. Live mode builds the
-  // story table itself (the engine was verified fresh above).
-  if (m.live) {
-    progress_.resize(story_count);
-    pool_slot_of_.assign(story_count, kUnrecorded);
-    live_stories_.resize(story_count);
-    std::size_t off = 0;
-    for (std::size_t slot = 0; slot < story_count; ++slot) {
-      LiveStory& ls = live_stories_[slot];
-      ls.id = live_ids[slot];
-      ls.submitter = live_submitters[slot];
-      ls.last_time = live_last_time[slot];
-      const std::uint32_t n = live_prefix_len[slot];
-      ls.prefix_voters.assign(live_voters_flat.begin() + off,
-                              live_voters_flat.begin() + off + n);
-      ls.prefix_times.assign(live_times_flat.begin() + off,
-                             live_times_flat.begin() + off + n);
-      off += n;
-      // fans1 is derivable, so it is re-derived, not trusted from disk.
-      progress_[slot].fans1 =
-          static_cast<std::uint32_t>(network_->fan_count(ls.submitter));
-    }
-  }
+  // Commit: the restored table replaces the engine's, in either mode (a
+  // replay table was just proven equal to the stream). Visibility pools are
+  // dropped — they rebuild lazily from the restored prefixes, so no stale
+  // derived state can survive a restore; replay cursors need no recompute
+  // because the per-story progress IS the cursor state the counting merge
+  // resumes from.
+  progress_.assign(story_count, Progress{});
+  prefix_voters_.assign(story_count * horizon_, 0);
+  prefix_times_.assign(story_count * horizon_, 0.0);
+  off = 0;
   for (std::size_t slot = 0; slot < story_count; ++slot) {
-    progress_[slot].applied = applied[slot];
-    progress_[slot].innetwork = innetwork[slot];
-    progress_[slot].flags = flags[slot];
-    progress_[slot].promoted_time = promoted[slot];
-    progress_[slot].bayes_estimate =
-        m.bayes_enabled ? bayes_estimates[slot] : 0.0f;
+    Progress& p = progress_[slot];
+    p.applied = applied[slot];
+    p.innetwork = innetwork[slot];
+    // fans1 is derivable, so it is re-derived, not trusted from disk.
+    p.fans1 = static_cast<std::uint32_t>(network_->fan_count(submitters[slot]));
+    p.flags = flags[slot];
+    p.promoted_time = promoted[slot];
+    p.bayes_estimate = m.bayes_enabled ? bayes_estimates[slot] : 0.0f;
+    p.last_time = last_time[slot];
+    const std::size_t n = std::min(applied[slot], horizon_);
+    std::copy_n(prefix_voters.data() + off, n,
+                prefix_voters_.data() + slot * horizon_);
+    std::copy_n(prefix_times.data() + off, n,
+                prefix_times_.data() + slot * horizon_);
+    off += n;
   }
-  if (m.bayes_enabled) bayes_exposure_ = std::move(bayes_exposure);
+  ids_ = std::move(ids);
+  submitters_ = std::move(submitters);
+  bayes_exposure_ = std::move(bayes_exposure);
   cascade_rec_ = std::move(cascade_rec);
   influence_rec_ = std::move(influence_rec);
+  pool_slot_of_.assign(story_count, kUnrecorded);
   events_applied_ = m.events_applied;
   for (Shard& shard : shards_) {
     shard.pool.slots.clear();
     shard.pool.clock = 0;
     shard.pool.bytes = 0;
   }
-  std::fill(pool_slot_of_.begin(), pool_slot_of_.end(), kUnrecorded);
 
   obs::record_event(obs::EventKind::kCheckpointRestore, 0, events_applied_);
   obs::Registry::global()

@@ -31,7 +31,6 @@ std::uint64_t stream_fingerprint(const EventStream& stream,
   const std::uint64_t shape[3] = {network.node_count(), network.edge_count(),
                                   stream.stories.size()};
   h = mix(h, shape, sizeof(shape));
-  // (live-mode engines fingerprint the network shape alone — see below)
   for (const platform::StoryView& s : stream.stories) {
     const std::uint64_t meta[3] = {s.id, s.submitter, s.vote_count()};
     h = mix(h, meta, sizeof(meta));
@@ -40,17 +39,6 @@ std::uint64_t stream_fingerprint(const EventStream& stream,
     h = mix(h, voters.data(), voters.size_bytes());
     h = mix(h, times.data(), times.size_bytes());
   }
-  return h;
-}
-
-// A live engine has no stream at construction: cover the graph shape plus a
-// mode tag (so a live checkpoint never restores into a replay engine whose
-// stream happens to hash equal — it cannot, but the tag makes it structural).
-std::uint64_t live_fingerprint(const graph::Digraph& network) {
-  std::uint64_t h = 14695981039346656037ull;
-  const std::uint64_t shape[3] = {network.node_count(), network.edge_count(),
-                                  0x11fe5e42ull};  // arbitrary live-mode tag
-  h = mix(h, shape, sizeof(shape));
   return h;
 }
 
@@ -111,7 +99,9 @@ StreamEngine::StreamEngine(const graph::Digraph& network, StreamParams params)
     : stream_(nullptr), network_(&network), params_(std::move(params)) {
   obs::Span span("stream_engine_init", "stream");
   init_config();
-  fingerprint_ = live_fingerprint(network);
+  // No stream yet: the fingerprint covers the network shape alone. The
+  // checkpoint's mode flag keeps a live checkpoint out of a replay engine.
+  fingerprint_ = stream_fingerprint(EventStream{}, network);
 }
 
 StreamEngine::StreamEngine(const EventStream& stream,
@@ -147,32 +137,24 @@ StreamEngine::StreamEngine(const EventStream& stream,
 
   fingerprint_ = stream_fingerprint(*stream_, *network_);
 
-  progress_.resize(story_count);
-  for (std::uint32_t slot = 0; slot < story_count; ++slot)
-    progress_[slot].fans1 = static_cast<std::uint32_t>(
-        network.fan_count(stream_->stories[slot].submitter));
-  cascade_rec_.assign(story_count * params_.cascade_checkpoints.size(),
-                      kUnrecorded);
-  influence_rec_.assign(story_count * params_.influence_checkpoints.size(),
-                        kUnrecorded);
-  pool_slot_of_.assign(story_count, kUnrecorded);
-  if (params_.bayes.enabled) bayes_exposure_.assign(story_count, 0.0);
+  const std::size_t cc = params_.cascade_checkpoints.size();
+  const std::size_t ic = params_.influence_checkpoints.size();
+  progress_.reserve(story_count);
+  cascade_rec_.reserve(story_count * cc);
+  influence_rec_.reserve(story_count * ic);
+  pool_slot_of_.reserve(story_count);
+  if (params_.bayes.enabled) bayes_exposure_.reserve(story_count);
+  ids_.reserve(story_count);
+  submitters_.reserve(story_count);
+  prefix_voters_.reserve(story_count * horizon_);
+  prefix_times_.reserve(story_count * horizon_);
+  for (const platform::StoryView& s : stream_->stories)
+    add_story(s.id, s.submitter);
 }
 
-std::uint32_t StreamEngine::live_submit(platform::StoryId id,
-                                        platform::UserId submitter,
-                                        platform::Minutes time) {
-  if (!live())
-    throw std::logic_error("live_submit on a replay-mode stream engine");
-  if (submitter >= network_->node_count())
-    throw std::invalid_argument("live story submitter out of graph range");
-  if (live_stories_.size() + 1 >= kUnrecorded)
-    throw std::invalid_argument("too many stories for the stream engine");
-  const auto slot = static_cast<std::uint32_t>(live_stories_.size());
-  LiveStory ls;
-  ls.id = id;
-  ls.submitter = submitter;
-  live_stories_.push_back(std::move(ls));
+std::uint32_t StreamEngine::add_story(platform::StoryId id,
+                                      platform::UserId submitter) {
+  const auto slot = static_cast<std::uint32_t>(progress_.size());
   Progress p;
   p.fans1 = static_cast<std::uint32_t>(network_->fan_count(submitter));
   progress_.push_back(p);
@@ -182,6 +164,23 @@ std::uint32_t StreamEngine::live_submit(platform::StoryId id,
                         params_.influence_checkpoints.size(), kUnrecorded);
   pool_slot_of_.push_back(kUnrecorded);
   if (params_.bayes.enabled) bayes_exposure_.push_back(0.0);
+  ids_.push_back(id);
+  submitters_.push_back(submitter);
+  prefix_voters_.resize(prefix_voters_.size() + horizon_);
+  prefix_times_.resize(prefix_times_.size() + horizon_);
+  return slot;
+}
+
+std::uint32_t StreamEngine::live_submit(platform::StoryId id,
+                                        platform::UserId submitter,
+                                        platform::Minutes time) {
+  if (!live())
+    throw std::logic_error("live_submit on a replay-mode stream engine");
+  if (submitter >= network_->node_count())
+    throw std::invalid_argument("live story submitter out of graph range");
+  if (story_count() + 1 >= kUnrecorded)
+    throw std::invalid_argument("too many stories for the stream engine");
+  const std::uint32_t slot = add_story(id, submitter);
   // Vote 0 is the submitter's own digg — the same convention every corpus
   // column and the batch pipeline use (types.h: voters.front()==submitter).
   live_vote(slot, submitter, time);
@@ -192,42 +191,27 @@ void StreamEngine::live_vote(std::uint32_t slot, platform::UserId voter,
                              platform::Minutes time) {
   if (!live())
     throw std::logic_error("live_vote on a replay-mode stream engine");
-  if (slot >= live_stories_.size())
+  if (slot >= story_count())
     throw std::invalid_argument("live vote for an unknown story slot");
   if (voter >= network_->node_count())
     throw std::invalid_argument("live voter out of graph range");
-  LiveStory& ls = live_stories_[slot];
-  Progress& p = progress_[slot];
-  if (p.applied > 0 && time < ls.last_time)
+  if (progress_[slot].applied > 0 && time < progress_[slot].last_time)
     throw std::invalid_argument("live vote times must be non-decreasing");
-  const auto k = static_cast<std::uint32_t>(p.applied);
-  if (k < horizon_) {
-    // Grow the bounded prefix BEFORE applying: apply_event's rebuild path
-    // replays strictly fewer than `applied` votes and its Bayes gap reads
-    // index k-1, both satisfied once this vote is buffered.
-    ls.prefix_voters.push_back(voter);
-    ls.prefix_times.push_back(time);
-  }
-  ls.last_time = time;
   Shard& shard = shards_[slot % kShardCount];
-  apply_event({time, slot, k, voter}, shard);
+  apply_vote(slot, voter, time, shard);
   // Live queries may follow immediately (query-after-vote is the serve
   // reply contract), so the prediction batch is this one vote.
   flush_predictions(shard);
 }
 
-platform::VisibilitySet& StreamEngine::acquire_vis(Shard& shard,
-                                                   std::uint32_t slot) {
+StreamEngine::PoolSlot& StreamEngine::acquire_vis(Shard& shard,
+                                                  std::uint32_t slot) {
   VisPool& pool = shard.pool;
   std::uint32_t ps = pool_slot_of_[slot];
   if (ps != kUnrecorded) {
     PoolSlot& sl = pool.slots[ps];
     sl.last_used = ++pool.clock;
-    // Refresh the accounting: the set grows between touches as votes land.
-    const std::size_t now_bytes = sl.set.size_bytes();
-    pool.bytes += now_bytes - sl.bytes;
-    sl.bytes = now_bytes;
-    return sl.set;
+    return sl;
   }
   // Over budget: evict least-recently-used bound slots until the share is
   // honoured again. The requested story always becomes resident afterwards,
@@ -271,17 +255,16 @@ platform::VisibilitySet& StreamEngine::acquire_vis(Shard& shard,
   sl.last_used = ++pool.clock;
   pool_slot_of_[slot] = ps;
   // Rebuild by replaying the story's applied prefix — bounded by the
-  // horizon, so a miss costs at most ~20 add_voter calls.
+  // horizon, so a miss costs at most ~20 add_voter calls. `applied` <
+  // horizon whenever a set is (re)built, so the prefix columns cover it.
   sl.set.rebind(*network_);
   const std::uint64_t applied = progress_[slot].applied;
-  // `applied` < horizon whenever a set is (re)built, so the live-mode
-  // bounded prefix always covers the replayed range.
-  const auto voters = voters_prefix(slot);
+  const platform::UserId* voters = &prefix_voters_[slot * horizon_];
   for (std::uint64_t k = 0; k < applied; ++k) sl.set.add_voter(voters[k]);
   sl.bytes = sl.set.size_bytes();
   pool.bytes += sl.bytes;
   if (applied > 0) obs::Registry::global().counter("stream.vis_rebuilds").inc();
-  return sl.set;
+  return sl;
 }
 
 void StreamEngine::release_vis(Shard& shard, std::uint32_t slot) {
@@ -327,7 +310,7 @@ void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
     evidence.in_network_votes = p.innetwork;
     evidence.out_network_votes = params_.bayes.fit_at - p.innetwork;
     evidence.exposure_watcher_minutes = bayes_exposure_[slot];
-    evidence.elapsed_minutes = now - early_vote_time(slot, 0);
+    evidence.elapsed_minutes = now - prefix_times_[slot * horizon_];
     evidence.audience = static_cast<double>(vis.influence());
     evidence.votes = params_.bayes.fit_at + 1;
     evidence.population = static_cast<double>(network_->node_count());
@@ -350,8 +333,8 @@ void StreamEngine::flush_predictions(Shard& shard) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t slot = shard.pending_pred[i];
     core::StoryFeatures& f = feats[i];
-    f.story = story_id(slot);
-    f.submitter = story_submitter(slot);
+    f.story = ids_[slot];
+    f.submitter = submitters_[slot];
     // v10 comes from the recorded checkpoint column, NOT p.innetwork —
     // the running count keeps ticking toward the v20 checkpoint while the
     // prediction waits in the queue.
@@ -368,35 +351,41 @@ void StreamEngine::flush_predictions(Shard& shard) {
   shard.pending_pred.clear();
 }
 
-void StreamEngine::apply_event(const VoteEvent& ev, Shard& shard) {
-  Progress& p = progress_[ev.story_slot];
-  const std::uint64_t next = p.applied + 1;
-  if (p.applied < horizon_) {
-    platform::VisibilitySet& vis = acquire_vis(shard, ev.story_slot);
+void StreamEngine::apply_vote(std::uint32_t slot, platform::UserId voter,
+                              platform::Minutes time, Shard& shard) {
+  Progress& p = progress_[slot];
+  const std::uint64_t k = p.applied;  // this vote's index in its story
+  const std::uint64_t next = k + 1;
+  p.last_time = time;
+  if (k < horizon_) {
+    prefix_voters_[slot * horizon_ + k] = voter;
+    prefix_times_[slot * horizon_ + k] = time;
+    PoolSlot& sl = acquire_vis(shard, slot);
+    platform::VisibilitySet& vis = sl.set;
     // In-network test before the vote is applied: can the voter currently
     // see the story through the Friends interface? Identical to the batch
     // exposure test (core/cascade.cpp), which checks membership in the
     // fan union of the preceding voters.
-    if (ev.vote_index >= 1 && ev.vote_index <= max_cascade_ &&
-        vis.can_see(ev.voter))
-      ++p.innetwork;
+    if (k >= 1 && k <= max_cascade_ && vis.can_see(voter)) ++p.innetwork;
     // Bayes sufficient statistic: watcher exposure over the inter-vote gap,
     // with the influence the union had BEFORE this voter joins. One counter
     // read and one multiply per below-fit vote — the O(1) discipline.
-    if (params_.bayes.enabled && ev.vote_index >= 1 &&
-        ev.vote_index <= params_.bayes.fit_at) {
-      bayes_exposure_[ev.story_slot] +=
+    if (params_.bayes.enabled && k >= 1 && k <= params_.bayes.fit_at) {
+      bayes_exposure_[slot] +=
           static_cast<double>(vis.influence()) *
-          (ev.time - early_vote_time(ev.story_slot, ev.vote_index - 1));
+          (time - prefix_times_[slot * horizon_ + k - 1]);
     }
-    vis.add_voter(ev.voter);
+    vis.add_voter(voter);
+    // The only growth of a resident set: keep the pool tally exact.
+    shard.pool.bytes += vis.size_bytes() - sl.bytes;
+    sl.bytes = vis.size_bytes();
     p.applied = next;
-    record_checkpoints(ev.story_slot, p, vis, ev.time, shard);
+    record_checkpoints(slot, p, vis, time, shard);
     if (next >= horizon_) {
-      release_vis(shard, ev.story_slot);
+      release_vis(shard, slot);
       obs::Registry::global().counter("stream.stories_retired").inc();
-      obs::record_event(obs::EventKind::kStoryRetired,
-                        ev.story_slot % kShardCount, ev.story_slot, next);
+      obs::record_event(obs::EventKind::kStoryRetired, slot % kShardCount,
+                        slot, next);
     }
   } else {
     // Past the horizon every vote is a bare counter bump — the O(1) tail.
@@ -405,7 +394,7 @@ void StreamEngine::apply_event(const VoteEvent& ev, Shard& shard) {
   if (params_.promotion_threshold != 0 &&
       next == params_.promotion_threshold) {
     p.flags |= kPromoted;
-    p.promoted_time = ev.time;
+    p.promoted_time = time;
   }
 }
 
@@ -495,8 +484,8 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
           const auto times = sv.times();
           const auto story_start = std::chrono::steady_clock::now();
           while (p.applied < target[slot]) {
-            const auto k = static_cast<std::uint32_t>(p.applied);
-            apply_event({times[k], slot, k, voters[k]}, shard);
+            const std::uint64_t k = p.applied;
+            apply_vote(slot, voters[k], times[k], shard);
             // Sampled (first vote per shard pass, then every 1024th): the
             // flight recorder wants recent context, not every vote.
             if ((done & 1023) == 0)
@@ -519,10 +508,7 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
       },
       {.grain = 1});
   events_applied_ = event_limit;
-  obs::Registry::global().gauge("stream.state_bytes").set(
-      static_cast<double>(state_bytes()));
-  obs::Registry::global().gauge("stream.vis_pool_bytes").set(
-      static_cast<double>(vis_pool_bytes()));
+  publish_state_gauges();
 }
 
 StoryOutcome StreamEngine::query_story(std::uint32_t slot) {
@@ -532,8 +518,8 @@ StoryOutcome StreamEngine::query_story(std::uint32_t slot) {
   const auto& ic = params_.influence_checkpoints;
   const Progress& p = progress_[slot];
   StoryOutcome o;
-  o.id = story_id(slot);
-  o.submitter = story_submitter(slot);
+  o.id = ids_[slot];
+  o.submitter = submitters_[slot];
   o.fans1 = p.fans1;
   o.final_votes = p.applied;
   o.interesting = p.applied > params_.interesting_threshold;
@@ -549,10 +535,10 @@ StoryOutcome StreamEngine::query_story(std::uint32_t slot) {
   o.influence.resize(ic.size());
   for (std::size_t j = 0; j < ic.size(); ++j) {
     const std::uint32_t rec = influence_rec_[slot * ic.size() + j];
-    o.influence[j] =
-        rec != kUnrecorded
-            ? rec
-            : acquire_vis(shards_[slot % kShardCount], slot).influence();
+    o.influence[j] = rec != kUnrecorded
+                         ? rec
+                         : acquire_vis(shards_[slot % kShardCount], slot)
+                               .set.influence();
   }
   if (p.flags & kHasPrediction)
     o.predicted_interesting = (p.flags & kPredictedYes) != 0;
@@ -582,23 +568,29 @@ StreamResult StreamEngine::result() {
 }
 
 std::size_t StreamEngine::state_bytes() const {
-  std::size_t bytes = progress_.capacity() * sizeof(Progress) +
-                      cascade_rec_.capacity() * sizeof(std::uint32_t) +
-                      influence_rec_.capacity() * sizeof(std::uint32_t) +
-                      pool_slot_of_.capacity() * sizeof(std::uint32_t) +
-                      bayes_exposure_.capacity() * sizeof(double) +
-                      live_stories_.capacity() * sizeof(LiveStory);
-  for (const LiveStory& ls : live_stories_)
-    bytes += ls.prefix_voters.capacity() * sizeof(platform::UserId) +
-             ls.prefix_times.capacity() * sizeof(platform::Minutes);
-  return bytes + vis_pool_bytes();
+  const auto bytes = [](const auto& column) {
+    return column.capacity() * sizeof(column[0]);
+  };
+  return bytes(progress_) + bytes(cascade_rec_) + bytes(influence_rec_) +
+         bytes(pool_slot_of_) + bytes(bayes_exposure_) + bytes(ids_) +
+         bytes(submitters_) + bytes(prefix_voters_) + bytes(prefix_times_) +
+         vis_pool_bytes();
 }
 
 std::size_t StreamEngine::vis_pool_bytes() const {
   std::size_t bytes = 0;
-  for (const Shard& shard : shards_)
-    for (const PoolSlot& sl : shard.pool.slots) bytes += sl.set.size_bytes();
+  for (const Shard& shard : shards_) bytes += shard.pool.bytes;
   return bytes;
+}
+
+void StreamEngine::publish_state_gauges() const {
+  // Looked up once: the serve drain publishes every cycle.
+  static obs::Gauge& state =
+      obs::Registry::global().gauge("stream.state_bytes");
+  static obs::Gauge& pool =
+      obs::Registry::global().gauge("stream.vis_pool_bytes");
+  state.set(static_cast<double>(state_bytes()));
+  pool.set(static_cast<double>(vis_pool_bytes()));
 }
 
 std::vector<core::StoryFeatures> to_story_features(const StreamResult& result,

@@ -59,17 +59,17 @@
 //
 // Live mode (src/serve): constructed over a network alone, the engine has
 // no EventStream — stories arrive through live_submit and votes through
-// live_vote, in arrival order. Per-story state is identical to replay mode;
-// the only extra cost is a bounded prefix buffer per story (the first
-// `horizon` voters and times), which is exactly what LRU rebuilds and the
-// Bayes exposure statistic need — votes past the horizon keep the bare
-// counter-bump cost. Checkpoints carry the prefix buffers in an extra
-// section so a restored live engine resumes with full rebuild capability.
+// live_vote, in arrival order. Both modes share one story table (id,
+// submitter, latest vote time, and the first `horizon` voters and times in
+// fixed-stride columns) and one private vote routine: run_until feeds it
+// the merged stream, live_vote feeds it arrivals. The prefix columns are
+// exactly what LRU rebuilds and the Bayes exposure statistic read, so
+// votes past the horizon keep the bare counter-bump cost in either mode,
+// and checkpoints carry the same sections whichever mode wrote them.
 
 #include <cstdint>
 #include <filesystem>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "src/core/features.h"
@@ -169,6 +169,11 @@ class StreamEngine {
   [[nodiscard]] std::uint32_t story_count() const noexcept {
     return static_cast<std::uint32_t>(progress_.size());
   }
+  /// The story id at `slot` (slot < story_count()); a table read that,
+  /// unlike query_story, never touches the visibility pools.
+  [[nodiscard]] platform::StoryId story_id(std::uint32_t slot) const {
+    return ids_[slot];
+  }
 
   /// Registers a live story and applies the submitter's own digg (vote 0)
   /// at `time`; returns the story's slot. Live mode only; single caller at
@@ -200,7 +205,7 @@ class StreamEngine {
   /// Replay: the stream's cached event total. Live: events applied so far
   /// (the stream has no end).
   [[nodiscard]] std::uint64_t total_events() const noexcept {
-    return stream_ ? stream_->total_events() : events_applied_;
+    return live() ? events_applied_ : stream_->total_events();
   }
 
   /// Snapshot of every story's state as of events_applied(). Callable
@@ -231,21 +236,27 @@ class StreamEngine {
 
   /// FNV-1a fingerprint of the stream (stories, vote columns) and network
   /// shape; checkpoints embed it so a restore against different data fails.
-  /// Live engines have no stream at construction, so their fingerprint
-  /// covers the network shape alone (plus a live-mode tag) — a live
-  /// checkpoint still refuses to restore over a different graph.
+  /// Live engines have no stream at construction, so their fingerprint is
+  /// an empty stream's: the network shape alone — a live checkpoint still
+  /// refuses to restore over a different graph.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept {
     return fingerprint_;
   }
   /// Resident bytes of visibility pools + fixed per-story state — the sum
-  /// of vis_pool_bytes() and the progress/checkpoint columns. O(stories),
-  /// never O(events): the stream itself is not materialised.
+  /// of vis_pool_bytes() and the story, progress and checkpoint columns.
+  /// The state is O(stories), never O(events): the stream itself is not
+  /// materialised. Computing it is O(shards) (capacities and pool tallies).
   [[nodiscard]] std::size_t state_bytes() const;
   /// Resident bytes of the pooled visibility sets alone (`stream.
   /// vis_pool_bytes` gauge). Kept separate from state_bytes() so the
   /// variable LRU-pool cost is visible next to the fixed per-story state
-  /// instead of being conflated with it.
+  /// instead of being conflated with it. O(shards): the sum of the pools'
+  /// exact byte tallies.
   [[nodiscard]] std::size_t vis_pool_bytes() const;
+  /// Sets the `stream.state_bytes` and `stream.vis_pool_bytes` gauges.
+  /// O(shards), never O(stories or pool slots), so the serve drain can
+  /// publish once per cycle. Not safe concurrently with live_vote.
+  void publish_state_gauges() const;
 
   /// Fixed shard fan-out; also the parallel width cap of one engine run.
   static constexpr std::uint32_t kShardCount = 64;
@@ -261,10 +272,10 @@ class StreamEngine {
   };
   /// Byte-accounted LRU pool of visibility sets for one shard's stories —
   /// the platform.h visibility-cache idiom, scoped to a shard so pools
-  /// need no locking. `bytes` sums the per-slot accounting; slot sizes are
-  /// refreshed on every touch, so between touches the tally can lag a
-  /// growing set by one vote's worth of fans — a soft budget, never a
-  /// correctness input (eviction only changes what is resident).
+  /// need no locking. `bytes` sums the per-slot accounting, which is
+  /// refreshed after every mutation of a resident set (rebuild, add_voter,
+  /// evict, release), so it is exact. The budget is never a correctness
+  /// input: eviction only changes what is resident.
   struct VisPool {
     std::vector<PoolSlot> slots;
     std::size_t budget = 0;  // byte share of StreamParams::vis_budget_bytes
@@ -290,6 +301,10 @@ class StreamEngine {
     std::uint8_t flags = 0;  // kHasPrediction | ... | kBayesYes
     platform::Minutes promoted_time = 0.0;
     float bayes_estimate = 0.0f;  // expected final votes (kHasBayes set)
+    /// Latest applied vote time: the story table's order watermark. Kept
+    /// beside `applied` because every vote writes both — a column of its
+    /// own would put eight stories of different shards on one cache line.
+    platform::Minutes last_time = 0.0;
   };
   static constexpr std::uint8_t kHasPrediction = 1;
   static constexpr std::uint8_t kPredictedYes = 2;
@@ -297,42 +312,15 @@ class StreamEngine {
   static constexpr std::uint8_t kHasBayes = 8;
   static constexpr std::uint8_t kBayesYes = 16;
 
-  /// One live-mode story: identity plus the bounded vote prefix. Only the
-  /// first `horizon` voters/times are kept — exactly what LRU rebuilds
-  /// (acquire_vis replays `applied` < horizon votes) and the Bayes exposure
-  /// gap (indices below fit_at <= horizon-1) can ever read — so live
-  /// per-story memory is O(horizon), not O(votes).
-  struct LiveStory {
-    platform::StoryId id = 0;
-    platform::UserId submitter = 0;
-    platform::Minutes last_time = 0.0;  // latest vote time (order check)
-    std::vector<platform::UserId> prefix_voters;
-    std::vector<platform::Minutes> prefix_times;
-  };
-
-  /// Mode-splitting accessors: replay mode reads the stream's columns, live
-  /// mode the bounded prefix buffers. Every consumer indexes below the
-  /// horizon, which both modes can serve.
-  [[nodiscard]] platform::StoryId story_id(std::uint32_t slot) const {
-    return stream_ ? stream_->stories[slot].id : live_stories_[slot].id;
-  }
-  [[nodiscard]] platform::UserId story_submitter(std::uint32_t slot) const {
-    return stream_ ? stream_->stories[slot].submitter
-                   : live_stories_[slot].submitter;
-  }
-  [[nodiscard]] platform::Minutes early_vote_time(std::uint32_t slot,
-                                                  std::size_t k) const {
-    return stream_ ? stream_->stories[slot].times()[k]
-                   : live_stories_[slot].prefix_times[k];
-  }
-  [[nodiscard]] std::span<const platform::UserId> voters_prefix(
-      std::uint32_t slot) const {
-    return stream_ ? stream_->stories[slot].voters()
-                   : std::span<const platform::UserId>(
-                         live_stories_[slot].prefix_voters);
-  }
-
-  void apply_event(const VoteEvent& ev, Shard& shard);
+  /// Appends a story to the table (and every slot-indexed column) with
+  /// no votes applied; returns its slot. Both constructors' stories and
+  /// live_submit's arrive here.
+  std::uint32_t add_story(platform::StoryId id, platform::UserId submitter);
+  /// The one vote routine of both modes: applies the story's next vote
+  /// (index progress_[slot].applied). run_until calls it with the merged
+  /// stream, live_vote with validated arrivals.
+  void apply_vote(std::uint32_t slot, platform::UserId voter,
+                  platform::Minutes time, Shard& shard);
   /// The counting merge: starting from the per-story cursors in `cursor`
   /// (which must describe an exact global prefix), advances them through
   /// the next `take` events of the (time, slot, index) order and returns
@@ -340,7 +328,8 @@ class StreamEngine {
   /// prefix. O(take · log stories) serial, no event materialisation.
   [[nodiscard]] std::vector<std::uint64_t> merge_prefix_counts(
       std::vector<std::uint64_t> cursor, std::uint64_t take) const;
-  platform::VisibilitySet& acquire_vis(Shard& shard, std::uint32_t slot);
+  /// The story's resident pool slot, rebuilt from the prefix on a miss.
+  PoolSlot& acquire_vis(Shard& shard, std::uint32_t slot);
   void release_vis(Shard& shard, std::uint32_t slot);
   void record_checkpoints(std::uint32_t slot, Progress& p,
                           const platform::VisibilitySet& vis,
@@ -376,7 +365,16 @@ class StreamEngine {
   /// Per-story watcher-exposure accumulator (watcher-minutes over the
   /// below-fit prefix); sized only when params_.bayes.enabled.
   std::vector<double> bayes_exposure_;
-  std::vector<LiveStory> live_stories_;  // live mode only, by slot
+  /// The story table, by slot, owned in both modes (its time watermark is
+  /// Progress::last_time). The vote prefix is
+  /// two fixed-stride columns (slot * horizon_ + k, k < horizon_), so
+  /// applying a vote never allocates and per-story memory is O(horizon).
+  /// Entries at k >= applied stay zero until their vote lands; nothing
+  /// reads them before then.
+  std::vector<platform::StoryId> ids_;
+  std::vector<platform::UserId> submitters_;
+  std::vector<platform::UserId> prefix_voters_;
+  std::vector<platform::Minutes> prefix_times_;
 };
 
 }  // namespace digg::stream

@@ -265,6 +265,30 @@ TEST_F(SnapshotTest, ByteReaderRejectsSizesNearMax) {
   EXPECT_EQ(r.pod<std::uint64_t>(), 0u);
 }
 
+TEST_F(SnapshotTest, ByteReaderRefusesForgedCountsBeforeAllocating) {
+  // Column counts come from files. A forged count must fail as truncation
+  // before the column is allocated — not as std::bad_alloc or a multi-GB
+  // zero-fill.
+  const char buf[16] = {};
+  const std::size_t forged = std::size_t{1} << 40;
+  const auto expect_truncated = [](auto&& read) {
+    try {
+      read();
+      FAIL() << "expected a truncation error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
+  };
+  snapfmt::ByteReader r(buf, sizeof(buf));
+  expect_truncated([&] { (void)r.column<std::uint64_t>(forged); });
+  expect_truncated([&] { (void)r.u64_column(forged); });
+  expect_truncated([&] { (void)r.column<char>(SIZE_MAX); });
+  // Exact fits still read.
+  EXPECT_EQ(r.column<std::uint32_t>(4).size(), 4u);
+  expect_truncated([&] { (void)r.column<std::uint8_t>(1); });
+}
+
 TEST_F(SnapshotTest, ChecksumMismatchThrows) {
   save_snapshot(small_corpus(), snap());
   auto bytes = slurp(snap());
@@ -394,8 +418,7 @@ TEST_F(SnapshotTest, MultiChunkRoundTrip) {
   // A tiny chunk target forces many VOTES_USERS/VOTES_TIMES sections; both
   // loaders must reassemble them into the identical corpus.
   const Corpus original = small_corpus(5);
-  save_snapshot(original, snap(), kSnapshotVersion,
-                /*chunk_target_bytes=*/512);
+  save_snapshot(original, snap(), /*chunk_target_bytes=*/512);
   const auto table = read_table(slurp(snap()));
   const auto chunks = std::ranges::count_if(table, [](const RawEntry& e) {
     return e.type == snapfmt::kVotesUsers;
@@ -413,24 +436,16 @@ TEST_F(SnapshotTest, MultiChunkRoundTrip) {
   }
 }
 
-TEST_F(SnapshotTest, V1FilesLoadThroughBothEntryPoints) {
-  // save_snapshot can still emit v1; load_snapshot reads it directly and
-  // load_snapshot_mmap routes it through the eager loader.
-  const Corpus original = small_corpus(3);
-  save_snapshot(original, snap(), /*version=*/1);
-  const auto bytes = slurp(snap());
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  ASSERT_EQ(version, 1u);
-
-  for (const Corpus& loaded : {load_snapshot(snap()), load_snapshot_mmap(snap())}) {
-    ASSERT_EQ(loaded.story_count(), original.story_count());
-    for (std::size_t i = 0; i < original.front_page.size(); ++i)
-      expect_same_story(original.front_page[i], loaded.front_page[i]);
-    for (std::size_t i = 0; i < original.upcoming.size(); ++i)
-      expect_same_story(original.upcoming[i], loaded.upcoming[i]);
-    EXPECT_EQ(loaded.top_users, original.top_users);
-  }
+TEST_F(SnapshotTest, V1FilesAreRefusedByBothLoaders) {
+  // DIGGSNAP v1 is retired: a file whose header says version 1 is refused
+  // by the eager and the mapped loader alike, before any section is read.
+  save_snapshot(small_corpus(3), snap());
+  auto bytes = slurp(snap());
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 8, &v1, sizeof(v1));
+  spew(snap(), bytes);
+  expect_load_error(snap(), "unsupported version 1");
+  expect_mmap_load_error(snap(), "unsupported version 1");
 }
 
 // The acceptance gate for the whole storage layer: one experiment run
@@ -512,10 +527,25 @@ TEST_F(SnapshotTest, UnknownModelIdIsALoadError) {
 }
 
 TEST_F(SnapshotTest, FilesWithoutModelInfoDefaultToLegacy) {
-  // v1 files predate the section entirely; v2 files written by older code
-  // simply lack it. Both mean "the original two-mechanism model".
-  const Corpus original = small_corpus(4);
-  save_snapshot(original, snap(), /*version=*/1);
+  // Files written before MODELINFO existed simply lack the section, which
+  // means "the original two-mechanism model". Rewrite a snapshot as the
+  // same container minus that section.
+  Corpus original = small_corpus(4);
+  original.model_id = dynamics::kStochasticModelId;
+  save_snapshot(original, snap());
+  {
+    const snapfmt::SectionFile file = snapfmt::read_section_file(snap());
+    std::vector<snapfmt::Section> kept;
+    for (const snapfmt::SectionEntry& e : file.table) {
+      if (e.type == snapfmt::kModelInfo) continue;
+      snapfmt::Section& section = kept.emplace_back();
+      section.type = e.type;
+      section.body.raw(file.bytes.data() + e.offset,
+                       static_cast<std::size_t>(e.size));
+    }
+    ASSERT_EQ(kept.size() + 1, file.table.size());
+    snapfmt::write_section_file(snap(), kept);
+  }
   EXPECT_EQ(load_snapshot(snap()).model_id, dynamics::kLegacyModelId);
   EXPECT_EQ(load_snapshot_mmap(snap()).model_id, dynamics::kLegacyModelId);
 }

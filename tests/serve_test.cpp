@@ -14,6 +14,7 @@
 #include "src/core/features.h"
 #include "src/core/predictor.h"
 #include "src/data/synthetic.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/parallel.h"
 #include "src/serve/client.h"
 #include "src/serve/mpsc_queue.h"
@@ -474,6 +475,8 @@ TEST_F(ServeTest, EndToEndMatchesOracleAndDrainsEverything) {
   std::vector<char> wire;
   encode_load(load, 0, total_events(load), wire);
 
+  auto& state_bytes = obs::Registry::global().gauge("stream.state_bytes");
+  state_bytes.set(0.0);
   Server server(test_corpus().corpus.network, test_serve_params());
   const auto port = server.start();
   ASSERT_GT(port, 0);
@@ -529,6 +532,10 @@ TEST_F(ServeTest, EndToEndMatchesOracleAndDrainsEverything) {
   EXPECT_FALSE(server.running());
   EXPECT_EQ(server.engine().events_applied(), total_events(load));
   EXPECT_EQ(server.engine().story_count(), load.size());
+  // The live server publishes the engine's state gauges itself.
+  EXPECT_GT(state_bytes.value(), 0.0);
+  EXPECT_EQ(state_bytes.value(),
+            static_cast<double>(server.engine().state_bytes()));
 }
 
 TEST_F(ServeTest, RejectsUnknownStoriesAndDuplicateSubmits) {
@@ -593,7 +600,9 @@ TEST_F(ServeTest, RestoreAfterStartThrows) {
 
 // ---------------------------------------------------------------------------
 // Kill/resume: a drain checkpoint restored into a fresh server must end in
-// a state bit-identical to an uninterrupted run (determinism mode).
+// a state bit-identical to an uninterrupted run. There is one drain mode:
+// outcomes are per-story and each story's votes apply in send order, so
+// the shard-parallel drain needs no global ordering to be exact.
 
 TEST_F(ServeTest, KillResumeCheckpointBitIdenticalToUninterrupted) {
   const auto load = test_load(40, 40);
@@ -604,7 +613,6 @@ TEST_F(ServeTest, KillResumeCheckpointBitIdenticalToUninterrupted) {
                         const std::filesystem::path& restore,
                         std::size_t begin_event, std::size_t end_event) {
     ServeParams params = test_serve_params();
-    params.determinism = true;
     params.checkpoint_path = ckpt;
     Server server(test_corpus().corpus.network, params);
     if (!restore.empty()) server.restore_checkpoint(restore);

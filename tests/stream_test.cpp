@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <tuple>
 #include <utility>
 #include <filesystem>
 #include <fstream>
@@ -505,7 +507,7 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
   applied[donor] -= 1;
   applied[(donor + 1) % stories] += 1;
 
-  snapfmt::Section sections[2];
+  snapfmt::Section sections[3];
   sections[0].type = snapfmt::kStreamMeta;
   snapfmt::ByteBuffer& meta = sections[0].body;
   meta.pod<std::uint32_t>(kStreamCheckpointVersion);
@@ -533,6 +535,32 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
   state.column(std::vector<std::uint32_t>(stories * 3, 0xffffffffu));
   state.column(std::vector<std::uint32_t>(stories * 3, 0xffffffffu));
 
+  // The story table, copied from the stream over the forged prefix
+  // lengths (min(applied, horizon 21)), so only the prefix is wrong.
+  sections[2].type = snapfmt::kStoryTable;
+  snapfmt::ByteBuffer& table = sections[2].body;
+  std::vector<std::uint32_t> ids, submitters, voters;
+  std::vector<double> watermark, times;
+  for (std::size_t slot = 0; slot < stories; ++slot) {
+    const platform::StoryView& sv = small_stream().stories[slot];
+    ids.push_back(sv.id);
+    submitters.push_back(sv.submitter);
+    const std::uint64_t a = applied[slot];
+    watermark.push_back(a > 0 && a <= sv.vote_count() ? sv.times()[a - 1]
+                                                      : 0.0);
+    for (std::uint64_t k = 0; k < std::min<std::uint64_t>(a, 21); ++k) {
+      voters.push_back(k < sv.vote_count() ? sv.voters()[k] : 0);
+      times.push_back(k < sv.vote_count() ? sv.times()[k] : 0.0);
+    }
+  }
+  table.column(ids);
+  table.column(submitters);
+  table.pad8();
+  table.column(watermark);
+  table.column(voters);
+  table.pad8();
+  table.column(times);
+
   const auto path = file("forged.ckpt");
   snapfmt::write_section_file(path, sections);
   try {
@@ -546,6 +574,150 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
   // The failed restore must not have corrupted the engine.
   EXPECT_EQ(engine.events_applied(), cut);
   engine.run_all();
+}
+
+// Checkpoint sections with one u32/u64 of one section's body overwritten —
+// a container that passes every integrity check but carries a forged
+// field.
+template <typename T>
+std::vector<snapfmt::Section> patched(std::vector<snapfmt::Section> sections,
+                                      std::uint32_t type, std::size_t offset,
+                                      T value) {
+  for (snapfmt::Section& s : sections) {
+    if (s.type != type) continue;
+    std::vector<char> bytes = s.body.bytes();
+    std::memcpy(bytes.data() + offset, &value, sizeof(T));
+    s.body = snapfmt::ByteBuffer();
+    s.body.raw(bytes.data(), bytes.size());
+  }
+  return sections;
+}
+
+// Byte offset of the story count in STREAM_META: version, predictor flag,
+// fingerprint, total events, events applied.
+constexpr std::size_t kMetaStoryCountOffset = 4 + 4 + 8 + 8 + 8;
+
+void expect_restore_error(StreamEngine& engine,
+                          const std::filesystem::path& path,
+                          const std::string& needle) {
+  try {
+    engine.restore_checkpoint(path);
+    FAIL() << "expected restore to fail with '" << needle << "'";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what()).find(needle), std::string::npos)
+        << err.what();
+  }
+}
+
+TEST_F(StreamTest, RefusesEarlierCheckpointVersions) {
+  const auto& corpus = small_corpus().corpus;
+  StreamEngine engine(small_stream(), corpus.network);
+  engine.run_until(1000);
+  for (const std::uint32_t old : {1u, 2u, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(old));
+    const auto path = file("old.ckpt");
+    snapfmt::write_section_file(
+        path, patched(engine.checkpoint_sections(), snapfmt::kStreamMeta, 0,
+                      old));
+    StreamEngine fresh(small_stream(), corpus.network);
+    expect_restore_error(fresh, path,
+                         "unsupported stream checkpoint version " +
+                             std::to_string(old));
+  }
+}
+
+TEST_F(StreamTest, ReplayRestoreRefusesAStoryTableThatIsNotTheStream) {
+  const auto& corpus = small_corpus().corpus;
+  StreamEngine engine(small_stream(), corpus.network);
+  engine.run_until(engine.total_events() / 2);
+  // Slot 0's id is the table's first u32; everything else stays valid.
+  const auto path = file("table.ckpt");
+  snapfmt::write_section_file(
+      path, patched(engine.checkpoint_sections(), snapfmt::kStoryTable, 0,
+                    small_stream().stories[0].id + 1));
+  StreamEngine fresh(small_stream(), corpus.network);
+  expect_restore_error(fresh, path,
+                       "story table does not match the stream");
+}
+
+TEST_F(StreamTest, ForgedLiveStoryCountIsTruncationNotAllocation) {
+  // A live checkpoint's story count feeds the column reads directly; a
+  // forged 2^40 must be refused as a truncated section before anything is
+  // allocated for it.
+  const auto& corpus = small_corpus().corpus;
+  StreamEngine live(corpus.network);
+  for (std::uint32_t slot = 0; slot < 5; ++slot) {
+    const platform::StoryView& sv = small_stream().stories[slot];
+    live.live_submit(sv.id, sv.submitter, sv.times()[0]);
+    live.note_events_applied(1);
+  }
+  const auto path = file("forged_live.ckpt");
+  snapfmt::write_section_file(
+      path, patched(live.checkpoint_sections(), snapfmt::kStreamMeta,
+                    kMetaStoryCountOffset, std::uint64_t{1} << 40));
+  StreamEngine fresh(corpus.network);
+  expect_restore_error(fresh, path, "truncated");
+  EXPECT_EQ(fresh.story_count(), 0u);
+}
+
+TEST_F(StreamTest, LiveCheckpointIsRefusedByAReplayEngine) {
+  // A live engine fingerprints an empty stream over its graph, so a replay
+  // engine over an empty stream on the same graph matches it; the
+  // checkpoint's mode flag is what refuses the restore.
+  const auto& corpus = small_corpus().corpus;
+  StreamEngine live(corpus.network);
+  const platform::StoryView& sv = small_stream().stories[0];
+  live.live_submit(sv.id, sv.submitter, sv.times()[0]);
+  live.note_events_applied(1);
+  const auto path = file("live.ckpt");
+  live.save_checkpoint(path);
+  const EventStream empty;
+  StreamEngine replay(empty, corpus.network);
+  ASSERT_EQ(replay.fingerprint(), live.fingerprint());
+  expect_restore_error(replay, path, "engine mode mismatch");
+}
+
+// One layout for both modes: per-story state depends only on each story's
+// own vote order, so a live engine fed the corpus in stream order (submits
+// in slot order, then every later vote in the merged (time, slot, index)
+// order) writes the replay engine's STREAM_STATE and STORY_TABLE bytes.
+TEST_F(StreamTest, ReplayAndLiveWriteIdenticalStateAndStoryTable) {
+  const auto& corpus = small_corpus().corpus;
+  StreamParams params;
+  params.bayes.enabled = true;
+  StreamEngine replay(small_stream(), corpus.network, params);
+  replay.run_all();
+
+  StreamEngine live(corpus.network, params);
+  std::vector<std::tuple<double, std::uint32_t, std::uint32_t>> order;
+  for (std::uint32_t slot = 0; slot < small_stream().stories.size(); ++slot) {
+    const platform::StoryView& sv = small_stream().stories[slot];
+    ASSERT_EQ(live.live_submit(sv.id, sv.submitter, sv.times()[0]), slot);
+    for (std::uint32_t k = 1; k < sv.vote_count(); ++k)
+      order.emplace_back(sv.times()[k], slot, k);
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& [time, slot, k] : order)
+    live.live_vote(slot, small_stream().stories[slot].voters()[k], time);
+  live.note_events_applied(small_stream().total_events());
+
+  const auto a = replay.checkpoint_sections();
+  const auto b = live.checkpoint_sections();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].type, b[i].type);
+  const auto body = [](const std::vector<snapfmt::Section>& sections,
+                       std::uint32_t type) {
+    for (const snapfmt::Section& s : sections)
+      if (s.type == type) return s.body.bytes();
+    ADD_FAILURE() << "missing section " << type;
+    return std::vector<char>();
+  };
+  for (const std::uint32_t type :
+       {snapfmt::kStreamState, snapfmt::kStoryTable}) {
+    SCOPED_TRACE("section " + std::to_string(type));
+    EXPECT_FALSE(body(a, type).empty());
+    EXPECT_EQ(body(a, type), body(b, type));
+  }
 }
 
 }  // namespace
