@@ -77,9 +77,11 @@ struct GenerationCore {
 /// The generation pipeline shared by the in-memory and streamed drivers.
 /// Both consume the rng identically (the per-story hooks never draw), so
 /// they produce bit-identical platforms. `on_network` fires once, before
-/// the network is handed to the platform; `on_story` fires after each
-/// story's run finishes, while its vote columns are final and still
-/// resident — the streamed driver persists and releases them there.
+/// the network is handed to the platform; `on_story` fires in story-id
+/// order as each story is committed (dynamics::simulate_each), while its
+/// record is final and its vote columns still resident — the streamed
+/// driver persists and releases them there, so it holds at most one
+/// simulation window of unreleased columns.
 GenerationCore run_generation(
     const SyntheticParams& params, stats::Rng& rng,
     const std::function<void(const graph::Digraph&)>& on_network,
@@ -215,24 +217,18 @@ StreamedCorpusInfo generate_corpus_to_snapshot(
       [&writer](const graph::Digraph& network) {
         writer.write_network(network);
       },
-      [&writer](platform::Platform& plat, platform::StoryId id) {
-        // The run is over, so the vote columns are final: persist them and
-        // drop them from the platform to keep the working set bounded.
+      [&writer, &info](platform::Platform& plat, platform::StoryId id) {
+        // The story is committed and no later run touches it, so its
+        // record is final: persist it and drop its vote columns from the
+        // platform to keep the working set bounded.
         const platform::Story& s = plat.story(id);
         writer.add_votes(s.voters, s.times);
+        writer.add_story(s);
+        ++(s.promoted() ? info.front_page_count : info.upcoming_count);
         plat.release_votes(id);
       });
   platform::Platform& plat = *core.plat;
 
-  // Metadata is only final now — expire_stale during later stories' runs
-  // can still flip earlier phases — so it is written in one O(stories) pass.
-  for (const platform::Story& s : plat.stories()) {
-    writer.add_story(s);
-    if (s.promoted())
-      ++info.front_page_count;
-    else
-      ++info.upcoming_count;
-  }
   const std::vector<std::uint32_t> reputation =
       platform::promoted_submission_counts(plat.stories(), params.user_count);
   const std::vector<platform::UserId> top_users =

@@ -136,13 +136,16 @@ struct StreamedCorpusInfo {
 
 /// Generates the corpus generate_corpus would produce (identical RNG
 /// consumption — same stories, votes, phases, and top-user ranking for the
-/// same params and rng state) but streams it story-by-story into a v2
-/// snapshot at `path` instead of materialising it in memory: each story's
-/// vote columns are handed to the snapshot writer and released from the
-/// platform as soon as its run finishes, so peak RSS is O(users + stories)
-/// and does not scale with the total vote count. This is the million-user
-/// path; load the result with load_snapshot_mmap. Sets the
-/// `data.generation_peak_rss` gauge (bytes, VmHWM) on Linux.
+/// same params and rng state, for any lane count) but streams it
+/// story-by-story into a v2 snapshot at `path` instead of materialising it
+/// in memory: each story's record is handed to the snapshot writer and its
+/// vote columns released from the platform as soon as it is committed.
+/// Stories run in parallel windows of dynamics::kSimulationWindow, so at
+/// most one window of uncommitted columns is resident on top: peak RSS is
+/// O(users + stories + one window's votes) and does not scale with the
+/// total vote count. This is the million-user path; load the result with
+/// load_snapshot_mmap. Sets the `data.generation_peak_rss` gauge (bytes,
+/// VmHWM) on Linux.
 [[nodiscard]] StreamedCorpusInfo generate_corpus_to_snapshot(
     const SyntheticParams& params, stats::Rng& rng,
     const std::filesystem::path& path,

@@ -42,24 +42,29 @@ StoryId Platform::submit(UserId submitter, double quality, Minutes now) {
 bool Platform::vote(StoryId story_id, UserId user, Minutes now) {
   if (story_id >= stories_.size())
     throw std::out_of_range("Platform::vote: unknown story");
+  Story& s = stories_[story_id];
+  // Fetch the slot *before* appending the vote: a cache miss replays the
+  // current vote column, after which the incremental add_voter in
+  // apply_vote brings the set to the post-vote state exactly once.
+  VisibilitySet& vis = visibility_slot(story_id);
+  if (!apply_vote(s, vis, user, now)) return false;
+  upcoming_.remove(story_id);
+  front_page_.push_front(story_id);
+  return true;
+}
+
+bool Platform::apply_vote(Story& s, VisibilitySet& vis, UserId user,
+                          Minutes now) const {
   if (user >= users_.size())
     throw std::out_of_range("Platform::vote: unknown user");
-  Story& s = stories_[story_id];
   if (s.phase == StoryPhase::kExpired)
     throw std::logic_error("Platform::vote: story expired");
-  // Fetch the slot *before* appending the vote: a cache miss replays the
-  // current vote column, after which the incremental add_voter below brings
-  // the set to the post-vote state exactly once.
-  VisibilitySet& vis = visibility_slot(story_id);
   add_vote(s, user, now);
   vis.add_voter(user);
-
   if (s.phase == StoryPhase::kUpcoming &&
       policy_->should_promote(s, network_, now)) {
     s.phase = StoryPhase::kFrontPage;
     s.promoted_at = now;
-    upcoming_.remove(story_id);
-    front_page_.push_front(story_id);
     return true;
   }
   return false;
@@ -67,16 +72,28 @@ bool Platform::vote(StoryId story_id, UserId user, Minutes now) {
 
 void Platform::expire_stale(Minutes now) {
   // Collect first: Listing::remove invalidates iteration order.
-  std::vector<StoryId> stale;
+  std::vector<StoryId> stale_ids;
   for (StoryId id : upcoming_.items()) {
-    const Story& s = stories_[id];
-    if (now - s.submitted_at > queue_params_.upcoming_lifetime)
-      stale.push_back(id);
+    if (stale(stories_[id], now)) stale_ids.push_back(id);
   }
-  for (StoryId id : stale) {
+  for (StoryId id : stale_ids) {
     stories_[id].phase = StoryPhase::kExpired;
     upcoming_.remove(id);
   }
+}
+
+void Platform::commit(Story&& finished) {
+  const StoryId id = finished.id;
+  if (id >= stories_.size())
+    throw std::out_of_range("Platform::commit: unknown story");
+  Story& s = stories_[id];
+  const bool was_upcoming = s.phase == StoryPhase::kUpcoming;
+  s = std::move(finished);
+  if (was_upcoming && s.phase != StoryPhase::kUpcoming) {
+    upcoming_.remove(id);
+    if (s.phase == StoryPhase::kFrontPage) front_page_.push_front(id);
+  }
+  drop_visibility(id);
 }
 
 void Platform::release_votes(StoryId id) {
@@ -85,15 +102,18 @@ void Platform::release_votes(StoryId id) {
   Story& s = stories_[id];
   s.voters = {};
   s.times = {};
+  drop_visibility(id);
+}
+
+void Platform::drop_visibility(StoryId id) {
   const std::uint32_t slot = vis_slot_of_[id];
-  if (slot != kNoSlot) {
-    vis_slot_of_[id] = kNoSlot;
-    VisSlot& vs = vis_slots_[slot];
-    // Keep vs.story = id: the eviction path indexes vis_slot_of_ by it, and
-    // re-clearing this story's (already empty) entry there is harmless.
-    vs.last_used = 0;  // first in line for reuse
-    vs.set.shed();
-  }
+  if (slot == kNoSlot) return;
+  vis_slot_of_[id] = kNoSlot;
+  VisSlot& vs = vis_slots_[slot];
+  // Keep vs.story = id: the eviction path indexes vis_slot_of_ by it, and
+  // re-clearing this story's (already empty) entry there is harmless.
+  vs.last_used = 0;  // first in line for reuse
+  vs.set.shed();
 }
 
 const Story& Platform::story(StoryId id) const {
@@ -134,6 +154,22 @@ VisibilitySet& Platform::visibility_slot(StoryId id) const {
   VisSlot& vs = vis_slots_[slot];
   vs.last_used = ++vis_clock_;
   return vs.set;
+}
+
+DetachedStory::DetachedStory(const Platform& platform, StoryId id)
+    : platform_(&platform),
+      story_(platform.story(id)),
+      vis_(platform.network()) {
+  for (UserId voter : story_.voters) vis_.add_voter(voter);
+}
+
+bool DetachedStory::vote(UserId user, Minutes now) {
+  return platform_->apply_vote(story_, vis_, user, now);
+}
+
+bool DetachedStory::expire_if_stale(Minutes now) {
+  if (platform_->stale(story_, now)) story_.phase = StoryPhase::kExpired;
+  return story_.phase == StoryPhase::kExpired;
 }
 
 }  // namespace digg::platform

@@ -13,10 +13,17 @@
 // replaying the story's vote column (same insertion order → identical
 // watcher pool / exposure log), so eviction is invisible to callers apart
 // from the replay cost. References returned by visibility() stay valid until a *different*
-// story's set is requested; the dynamics layer already re-fetches per story.
+// story's set is requested.
+//
+// A simulation run does not go through that cache. It detaches one story
+// (DetachedStory below): the story's own record and visibility set, read
+// against the platform's const network, users, policy and queue params.
+// Runs on different stories therefore share no mutable state and may
+// proceed concurrently; commit() folds each finished record back in.
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/digg/friends_interface.h"
@@ -26,6 +33,8 @@
 #include "src/digg/user.h"
 
 namespace digg::platform {
+
+class DetachedStory;
 
 class Platform {
  public:
@@ -43,6 +52,12 @@ class Platform {
 
   /// Expires upcoming stories older than the queue lifetime.
   void expire_stale(Minutes now);
+
+  /// Folds a finished DetachedStory run back in: the record replaces the
+  /// stored one, and the listing moves vote() and expire_stale() make
+  /// (upcoming to front page on promotion, out of upcoming on expiry)
+  /// follow. Any cached visibility set of the story is dropped.
+  void commit(Story&& finished);
 
   /// Frees a finished story's vote columns and visibility cache slot once
   /// the votes have been persisted elsewhere (streamed generation keeps the
@@ -94,9 +109,24 @@ class Platform {
     std::uint64_t last_used = 0;  // LRU clock value
   };
 
+  friend class DetachedStory;
+
   /// Returns the (mutable) cached set for `id`, rebuilding it from the
   /// story's vote column on a miss and bumping its LRU stamp.
   VisibilitySet& visibility_slot(StoryId id) const;
+  /// Frees `id`'s cache slot, if it has one.
+  void drop_visibility(StoryId id);
+
+  /// The one vote routine of vote() and DetachedStory::vote: validates,
+  /// appends to `s`, updates `vis`, and promotes `s` (phase, promoted_at)
+  /// if the policy says so. Touches nothing but `s` and `vis`.
+  bool apply_vote(Story& s, VisibilitySet& vis, UserId user,
+                  Minutes now) const;
+  /// True if `s` is upcoming and older than the queue lifetime at `now`.
+  [[nodiscard]] bool stale(const Story& s, Minutes now) const noexcept {
+    return s.phase == StoryPhase::kUpcoming &&
+           now - s.submitted_at > queue_params_.upcoming_lifetime;
+  }
 
   graph::Digraph network_;
   std::vector<UserProfile> users_;
@@ -110,6 +140,43 @@ class Platform {
   mutable std::vector<VisSlot> vis_slots_;   // reserved to capacity up front
   mutable std::vector<std::uint32_t> vis_slot_of_;  // story -> slot / kNoSlot
   mutable std::uint64_t vis_clock_ = 0;
+};
+
+/// One story detached from its platform for a simulation run: a copy of the
+/// story's record and its own visibility set, bound to the platform's const
+/// network, users, promotion policy and queue params. A run reads and
+/// writes only this object, so runs on different stories may proceed on
+/// different threads; Platform::commit(std::move(d).finish()) hands the
+/// result back. The platform must outlive the detached story and must not
+/// change under it.
+class DetachedStory {
+ public:
+  DetachedStory(const Platform& platform, StoryId id);
+
+  /// Platform::vote on this story alone: the same checks, vote routine and
+  /// promotion decision. The listing moves wait for commit.
+  bool vote(UserId user, Minutes now);
+
+  /// This story's part of Platform::expire_stale: expires it if it is
+  /// still upcoming past the queue lifetime. Returns true if the story is
+  /// expired.
+  bool expire_if_stale(Minutes now);
+
+  [[nodiscard]] const Story& story() const noexcept { return story_; }
+  [[nodiscard]] const VisibilitySet& visibility() const noexcept {
+    return vis_;
+  }
+  [[nodiscard]] const Platform& platform() const noexcept {
+    return *platform_;
+  }
+
+  /// Ends the run, handing back the record for Platform::commit.
+  [[nodiscard]] Story finish() && { return std::move(story_); }
+
+ private:
+  const Platform* platform_;
+  Story story_;
+  VisibilitySet vis_;
 };
 
 }  // namespace digg::platform

@@ -43,6 +43,13 @@ std::string known_ids_joined(const Registry& reg) {
 
 }  // namespace
 
+StoryRun Simulator::run_story(StoryId id, const StoryTraits& traits) {
+  platform::DetachedStory story(*platform_, id);
+  StoryRun result = run(story, traits);
+  platform_->commit(std::move(story).finish());
+  return result;
+}
+
 bool register_model(std::unique_ptr<Model> prototype) {
   if (prototype == nullptr)
     throw std::invalid_argument("register_model: null prototype");

@@ -6,17 +6,27 @@
 // presets, the CLI — drives models through this interface instead of
 // hard-coding one implementation.
 //
-// Determinism / RNG contract:
+// Determinism / RNG contract, relied on by parallel generation:
 //   - make_simulator() receives an Rng by value; the simulator owns it.
 //   - A simulator derives each story's draws from rng.split(story_id), a
 //     counter-based substream keyed on the *seed* (stats/rng.h). Story runs
 //     therefore do not depend on RNG-consumption order: simulating stories
 //     {0,1,2} or just {2} produces bit-identical votes for story 2 (given
-//     the same platform submissions). This is what unpins streamed
-//     generation from serial story order and what future parallel
-//     generation relies on.
-//   - run_story must not draw from any other stream, so eager and streamed
-//     corpus generation stay bit-identical (data/synthetic.cpp's contract).
+//     the same platform submissions).
+//   - A run touches only its own story: run() reads and writes one
+//     platform::DetachedStory (the story's record and visibility set) and
+//     otherwise only reads the platform's const state (network, users,
+//     policy, queue params) and the simulator's own const state; it
+//     writes nothing shared.
+//   - So simulate_each (vote_model.h) runs a window of stories at once on
+//     the runtime's lanes (runtime::default_threads(), DIGG_THREADS) and
+//     commits them back in story-id order: the platform, and hence every
+//     corpus, is bit-identical for any lane count, eager or streamed
+//     (data/synthetic.cpp's contract).
+//   - Expiry is per story: a run expires its own story once it is upcoming
+//     past the queue lifetime, and never another. In generation that is
+//     exactly the serial behaviour — earlier stories have finished as
+//     promoted or expired, and later ones are younger than the lifetime.
 //
 // Identity: id() is a stable string recorded in snapshots (DIGGSNAP
 // MODELINFO section) and used by the CLI scenario parser. Renaming an id is
@@ -66,18 +76,29 @@ struct ModelParam {
 };
 
 /// A per-run simulator instance bound to one platform. Created by
-/// Model::make_simulator; drives already-submitted stories to their horizon,
-/// recording votes on the platform (promotion fires through the platform's
-/// policy, whichever is configured).
+/// Model::make_simulator; drives already-submitted stories to their horizon
+/// (promotion fires through the platform's policy, whichever is
+/// configured).
 class Simulator {
  public:
   virtual ~Simulator() = default;
 
-  /// Simulates the full lifetime of an already-submitted story. Traits'
-  /// `general` should match the story's platform quality. All randomness
-  /// comes from the simulator's rng.split(id) substream (see the contract
-  /// above).
-  virtual StoryRun run_story(StoryId id, const StoryTraits& traits) = 0;
+  /// Simulates the full lifetime of one detached story, recording its votes
+  /// on `story`. Traits' `general` should match the story's platform
+  /// quality. All randomness comes from rng.split(id), and the run touches
+  /// nothing outside `story` (see the contract above), so concurrent calls
+  /// on different stories are safe.
+  virtual StoryRun run(platform::DetachedStory& story,
+                       const StoryTraits& traits) const = 0;
+
+  /// run() on story `id` of the bound platform, committed back at once.
+  StoryRun run_story(StoryId id, const StoryTraits& traits);
+
+ protected:
+  explicit Simulator(platform::Platform& platform) : platform_(&platform) {}
+
+ private:
+  platform::Platform* platform_;
 };
 
 /// A generative vote model: stable id + parameter set + simulator factory.

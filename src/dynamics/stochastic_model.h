@@ -96,10 +96,10 @@ class StochasticSimulator final : public Simulator {
   StochasticSimulator(platform::Platform& platform,
                       StochasticModelParams params, stats::Rng rng);
 
-  StoryRun run_story(StoryId id, const StoryTraits& traits) override;
+  StoryRun run(platform::DetachedStory& story,
+               const StoryTraits& traits) const override;
 
  private:
-  platform::Platform* platform_;
   StochasticModelParams params_;
   stats::Rng rng_;  // base stream; per-story draws come from rng_.split(id)
   stats::DiscreteSampler front_sampler_;     // ω_u · w_front, capped
@@ -107,7 +107,7 @@ class StochasticSimulator final : public Simulator {
 
   bool pick_browser(const stats::DiscreteSampler& sampler,
                     const platform::VisibilitySet& vis, stats::Rng& rng,
-                    UserId& out_voter);
+                    UserId& out_voter) const;
 };
 
 /// The stochastic model as a registered dynamics::Model (id "stochastic").

@@ -6,6 +6,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/runtime/parallel.h"
 
 namespace digg::dynamics {
 
@@ -24,7 +25,7 @@ std::vector<double> capped_activity_weights(
 
 VoteSimulator::VoteSimulator(platform::Platform& platform,
                              VoteModelParams params, stats::Rng rng)
-    : platform_(&platform),
+    : Simulator(platform),
       params_(std::move(params)),
       rng_(std::move(rng)),
       discovery_sampler_(capped_activity_weights(
@@ -36,7 +37,8 @@ VoteSimulator::VoteSimulator(platform::Platform& platform,
 }
 
 bool VoteSimulator::pick_discovery_voter(const platform::VisibilitySet& vis,
-                                         stats::Rng& rng, UserId& out_voter) {
+                                         stats::Rng& rng,
+                                         UserId& out_voter) const {
   // Rejection-sample an out-of-network voter, weighted by (capped) activity:
   // Fig. 2(b)'s heavy-tailed per-user vote counts come from this skew, while
   // the long inactive tail is what makes most voters vote only once.
@@ -50,7 +52,8 @@ bool VoteSimulator::pick_discovery_voter(const platform::VisibilitySet& vis,
   return false;
 }
 
-StoryRun VoteSimulator::run_story(StoryId id, const StoryTraits& traits) {
+StoryRun VoteSimulator::run(platform::DetachedStory& story,
+                            const StoryTraits& traits) const {
   if (traits.general < 0.0 || traits.general > 1.0 ||
       traits.community < 0.0 || traits.community > 1.0)
     throw std::invalid_argument("run_story: traits outside [0,1]");
@@ -58,11 +61,13 @@ StoryRun VoteSimulator::run_story(StoryId id, const StoryTraits& traits) {
   // The Model RNG contract (model.h): every draw for this story comes from
   // a substream keyed on the story id, derived from the base stream's seed —
   // independent of how many stories ran before, which unpins story order.
+  const platform::Story& s = story.story();
+  const StoryId id = s.id;
   stats::Rng rng = rng_.split(id);
 
   StoryRun run;
   run.story = id;
-  const Minutes t0 = platform_->story(id).submitted_at;
+  const Minutes t0 = s.submitted_at;
   run.votes_over_time.append(0.0, 1.0);  // submitter's digg
 
   const double dt_days = params_.step / platform::kMinutesPerDay;
@@ -85,14 +90,9 @@ StoryRun VoteSimulator::run_story(StoryId id, const StoryTraits& traits) {
   std::size_t last_recorded = 1;
   for (Minutes t = t0 + params_.step; t - t0 <= params_.horizon;
        t += params_.step) {
-    const platform::Story& s = platform_->story(id);
-    if (s.phase == platform::StoryPhase::kUpcoming &&
-        t - t0 > platform_->queue_params().upcoming_lifetime) {
-      platform_->expire_stale(t);
-    }
-    if (platform_->story(id).phase == platform::StoryPhase::kExpired) break;
+    if (story.expire_if_stale(t)) break;
 
-    const auto& vis = platform_->visibility(id);
+    const platform::VisibilitySet& vis = story.visibility();
 
     // Mechanism 2: network-based spread. Ingest newly exposed watchers —
     // each is engaged (an active Friends-interface user) with probability
@@ -100,7 +100,7 @@ StoryRun VoteSimulator::run_story(StoryId id, const StoryTraits& traits) {
     // pending watchers consider the story this step.
     {
       const auto& log = vis.exposure_log();
-      const auto& users = platform_->users();
+      const auto& users = story.platform().users();
       for (; pool_cursor < log.size(); ++pool_cursor) {
         const UserId watcher = log[pool_cursor];
         const double engaged =
@@ -145,28 +145,27 @@ StoryRun VoteSimulator::run_story(StoryId id, const StoryTraits& traits) {
       const UserId candidate = pending[idx];
       pending[idx] = pending.back();
       pending.pop_back();
-      const auto& live = platform_->visibility(id);
-      if (live.has_voted(candidate)) continue;  // acted via another channel
+      if (vis.has_voted(candidate)) continue;  // acted via another channel
       if (rng.bernoulli(fan_digg_p)) {
-        platform_->vote(id, candidate, t);
+        story.vote(candidate, t);
         ++run.fan_channel_votes;
       }
     }
     for (std::int64_t k = 0; k < discovery_votes; ++k) {
       UserId voter;
-      if (!pick_discovery_voter(platform_->visibility(id), rng, voter)) break;
-      platform_->vote(id, voter, t);
+      if (!pick_discovery_voter(vis, rng, voter)) break;
+      story.vote(voter, t);
       ++run.discovery_votes;
     }
 
-    const std::size_t count = platform_->story(id).vote_count();
+    const std::size_t count = s.vote_count();
     if (count != last_recorded) {
       run.votes_over_time.append(t - t0, static_cast<double>(count));
       last_recorded = count;
     }
   }
   // Ensure the series covers the full horizon for resampling.
-  const std::size_t final_count = platform_->story(id).vote_count();
+  const std::size_t final_count = s.vote_count();
   if (run.votes_over_time.times().back() < params_.horizon)
     run.votes_over_time.append(params_.horizon,
                                static_cast<double>(final_count));
@@ -253,11 +252,34 @@ void simulate_each(
     Minutes spacing_minutes,
     const std::function<void(StoryId, StoryRun&&)>& on_story) {
   obs::Span span("simulate_batch", "dynamics");
+  struct Finished {
+    platform::Story story;
+    StoryRun run;
+  };
   Minutes t = 0.0;
-  for (const auto& [submitter, traits] : submissions) {
-    const StoryId id = platform.submit(submitter, traits.general, t);
-    on_story(id, sim.run_story(id, traits));
-    t += spacing_minutes;
+  std::vector<StoryId> ids;
+  for (std::size_t begin = 0; begin < submissions.size();
+       begin += kSimulationWindow) {
+    const std::size_t n =
+        std::min(kSimulationWindow, submissions.size() - begin);
+    ids.clear();
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto& [submitter, traits] = submissions[begin + k];
+      ids.push_back(platform.submit(submitter, traits.general, t));
+      t += spacing_minutes;
+    }
+    // Every story of the window runs detached on some lane; results land
+    // by index, and the commits below go in story-id order.
+    std::vector<Finished> done = runtime::parallel_map<Finished>(
+        n, [&](std::size_t k) {
+          platform::DetachedStory story(platform, ids[k]);
+          StoryRun run = sim.run(story, submissions[begin + k].second);
+          return Finished{std::move(story).finish(), std::move(run)};
+        });
+    for (std::size_t k = 0; k < n; ++k) {
+      platform.commit(std::move(done[k].story));
+      on_story(ids[k], std::move(done[k].run));
+    }
   }
 }
 

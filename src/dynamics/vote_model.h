@@ -23,6 +23,7 @@
 // Model RNG contract), so a story's votes do not depend on which other
 // stories ran before it.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -106,14 +107,14 @@ class VoteSimulator final : public Simulator {
   VoteSimulator(platform::Platform& platform, VoteModelParams params,
                 stats::Rng rng);
 
-  StoryRun run_story(StoryId id, const StoryTraits& traits) override;
+  StoryRun run(platform::DetachedStory& story,
+               const StoryTraits& traits) const override;
 
   [[nodiscard]] const VoteModelParams& params() const noexcept {
     return params_;
   }
 
  private:
-  platform::Platform* platform_;
   VoteModelParams params_;
   stats::Rng rng_;  // base stream; per-story draws come from rng_.split(id)
   stats::DiscreteSampler discovery_sampler_;  // activity-weighted, capped
@@ -121,7 +122,7 @@ class VoteSimulator final : public Simulator {
   /// Picks an out-of-network voter: an activity-weighted random user who has
   /// neither voted nor watches the story. Returns false if none found.
   bool pick_discovery_voter(const platform::VisibilitySet& vis,
-                            stats::Rng& rng, UserId& out_voter);
+                            stats::Rng& rng, UserId& out_voter) const;
 };
 
 /// The two-mechanism model as a registered dynamics::Model (id
@@ -163,14 +164,23 @@ BatchResult simulate_batch(
     const std::vector<std::pair<UserId, StoryTraits>>& submissions,
     Minutes spacing_minutes);
 
+/// Stories simulate_each runs at once: a window is submitted, run across
+/// the runtime's lanes, then committed before the next window starts.
+inline constexpr std::size_t kSimulationWindow = 64;
+
 /// Streaming counterpart of simulate_batch: submits and runs the same
 /// stories in the same order, but hands each finished run to `on_story`
 /// instead of accumulating a BatchResult — O(1) driver memory instead of
-/// O(stories) time series. Per-story draws come from split(story_id)
-/// substreams (the Model RNG contract), so both drivers produce
-/// bit-identical platforms for the same inputs.
-/// `on_story` may persist and then drop the story's vote columns
-/// (Platform::release_votes); the simulator never revisits a finished story.
+/// O(stories) time series. Stories are submitted serially in windows of
+/// kSimulationWindow; each window's runs go to runtime::parallel_map
+/// (Simulator::run on a DetachedStory, so any lane count gives the same
+/// result — model.h's contract) and are committed to the platform in
+/// story-id order, with `on_story` called after each commit. Both drivers
+/// therefore produce bit-identical platforms for the same inputs, for any
+/// DIGG_THREADS. `on_story` may persist and then drop the story's vote
+/// columns (Platform::release_votes); the simulator never revisits a
+/// finished story, so a streamed driver holds at most one window of
+/// uncommitted stories' columns beyond what it has not yet released.
 void simulate_each(
     platform::Platform& platform, Simulator& sim,
     const std::vector<std::pair<UserId, StoryTraits>>& submissions,

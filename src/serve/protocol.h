@@ -34,9 +34,12 @@
 //
 // Malformed input (length 0 or beyond kMaxFrameBytes, unknown type, body
 // size disagreeing with the type) throws ProtocolError from the decoder;
-// the server answers kError{kBadFrame} and closes the connection. The
-// fuzz-style table test in tests/serve_test.cpp drives exactly this decoder
-// with truncated/oversized/garbage frames under ASan.
+// the server answers kError{kBadFrame} and closes the connection. A
+// well-formed event the engine cannot take (unknown story, duplicate
+// submit, a user outside the graph, a vote earlier than the story's last
+// accepted one) gets kError{code, story id} and the connection stays
+// open. The fuzz-style table test in tests/serve_test.cpp drives exactly
+// this decoder with truncated/oversized/garbage frames under ASan.
 
 #include <cstddef>
 #include <cstdint>
@@ -68,6 +71,10 @@ enum class ErrorCode : std::uint8_t {
   kDuplicateStory = 2, // submit for a story id already submitted
   kBadFrame = 3,       // malformed frame (connection is closed after this)
   kStopping = 4,       // event arrived while the server drains
+  kBadEvent = 5,       // submit/vote the engine would refuse: a user
+                       // outside the graph, or a vote earlier than the
+                       // story's last accepted one (detail: the story id;
+                       // the connection stays open)
 };
 
 struct VoteMsg {

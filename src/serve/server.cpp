@@ -156,6 +156,7 @@ void Server::frontend_main() {
   auto& submits_in = registry.counter("serve.submits");
   auto& backpressure = registry.counter("serve.backpressure");
   auto& bad_frames = registry.counter("serve.bad_frames");
+  auto& bad_events = registry.counter("serve.bad_events");
 
   struct Conn {
     int fd = -1;
@@ -190,10 +191,20 @@ void Server::frontend_main() {
   // Rebuild the id map from restored engine state: a restored live engine
   // already holds stories whose ids must keep resolving (and whose slots
   // the next submit must not collide with).
+  // Alongside it, each slot's time watermark: the front-end refuses what
+  // live_submit/live_vote would throw on (a user outside the graph, a vote
+  // earlier than the story's last accepted one) instead of letting it
+  // abort the drain. A story's events reach the engine in front-end order,
+  // so this watermark is the engine's own.
   IdMap ids;
   std::uint32_t next_slot = engine_.story_count();
-  for (std::uint32_t slot = 0; slot < next_slot; ++slot)
+  std::vector<double> watermark;
+  watermark.reserve(next_slot);
+  for (std::uint32_t slot = 0; slot < next_slot; ++slot) {
     ids.insert(engine_.story_id(slot), slot);
+    watermark.push_back(engine_.last_vote_time(slot));
+  }
+  const std::size_t user_count = network_->node_count();
 
   std::uint64_t votes_seen = 0;
 
@@ -252,6 +263,11 @@ void Server::frontend_main() {
       if (mapped == 0) return send_error(c, ErrorCode::kUnknownStory, v->story_id);
       VoteEntry e{};
       e.slot = mapped - 1;
+      if (v->voter >= user_count || v->time < watermark[e.slot]) {
+        bad_events.inc();
+        return send_error(c, ErrorCode::kBadEvent, v->story_id);
+      }
+      watermark[e.slot] = v->time;
       e.voter = v->voter;
       e.time = v->time;
       e.stamp_ns = ((votes_seen++ & 0xff) == 0) ? now_ns() : 0;
@@ -266,12 +282,17 @@ void Server::frontend_main() {
     if (const auto* s = std::get_if<SubmitMsg>(&msg)) {
       if (ids.lookup(s->story_id) != 0)
         return send_error(c, ErrorCode::kDuplicateStory, s->story_id);
+      if (s->submitter >= user_count) {
+        bad_events.inc();
+        return send_error(c, ErrorCode::kBadEvent, s->story_id);
+      }
       SubmitEntry e{};
       e.slot = next_slot++;
       e.id = s->story_id;
       e.submitter = s->submitter;
       e.time = s->time;
       ids.insert(s->story_id, e.slot);
+      watermark.push_back(s->time);
       while (!submit_q_->try_push(e)) {
         backpressure.inc();
         std::this_thread::yield();

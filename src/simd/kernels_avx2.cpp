@@ -284,6 +284,11 @@ void avx2_c45_leaves(const FlatTreeView& tree, const double* rows,
                      std::int32_t* out_leaf) {
   std::size_t r = 0;
   const auto s32 = static_cast<std::int32_t>(stride);
+  // Masked gathers with an explicit zero source and an all-ones mask load
+  // exactly what the unmasked form does; the unmasked intrinsic leaves its
+  // source operand undefined, which gcc 12 flags as maybe-uninitialized.
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   for (; r + 4 <= n_rows; r += 4) {
     const double* base = rows + r * stride;
     // Per-lane offset of each row's start within the 4-row window.
@@ -291,9 +296,10 @@ void avx2_c45_leaves(const FlatTreeView& tree, const double* rows,
     __m128i cur = _mm_setzero_si128();
     for (std::size_t d = 0; d < tree.depth; ++d) {
       const __m128i attr = _mm_i32gather_epi32(tree.attr, cur, 4);
-      const __m256d v = _mm256_i32gather_pd(
-          base, _mm_add_epi32(row_off, attr), 8);
-      const __m256d th = _mm256_i32gather_pd(tree.thresh, cur, 8);
+      const __m256d v = _mm256_mask_i32gather_pd(
+          zero, base, _mm_add_epi32(row_off, attr), all, 8);
+      const __m256d th =
+          _mm256_mask_i32gather_pd(zero, tree.thresh, cur, all, 8);
       const __m128i go_left = narrow_mask(_mm256_cmp_pd(v, th, _CMP_LE_OQ));
       const __m128i ordered = narrow_mask(_mm256_cmp_pd(v, v, _CMP_ORD_Q));
       const __m128i left = _mm_i32gather_epi32(tree.left, cur, 4);

@@ -174,6 +174,11 @@ class StreamEngine {
   [[nodiscard]] platform::StoryId story_id(std::uint32_t slot) const {
     return ids_[slot];
   }
+  /// Time of the last vote applied to `slot` (its submit time at first):
+  /// live_vote refuses anything earlier.
+  [[nodiscard]] platform::Minutes last_vote_time(std::uint32_t slot) const {
+    return progress_[slot].last_time;
+  }
 
   /// Registers a live story and applies the submitter's own digg (vote 0)
   /// at `time`; returns the story's slot. Live mode only; single caller at

@@ -5,7 +5,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <numeric>
@@ -17,6 +19,7 @@
 #include "src/data/scenario.h"
 #include "src/data/snapshot.h"
 #include "src/dynamics/model.h"
+#include "src/runtime/thread_pool.h"
 
 namespace digg::data {
 namespace {
@@ -26,6 +29,54 @@ namespace fs = std::filesystem;
 bool same_votes(const Story& a, const Story& b) {
   return std::ranges::equal(a.voters(), b.voters()) &&
          std::ranges::equal(a.times(), b.times());
+}
+
+/// Pins the parallel runtime's lane count for one scope, restoring the
+/// DIGG_THREADS / hardware default on exit.
+class LanesForScope {
+ public:
+  explicit LanesForScope(unsigned lanes) {
+    runtime::set_default_threads(lanes);
+  }
+  ~LanesForScope() { runtime::set_default_threads(0); }
+  LanesForScope(const LanesForScope&) = delete;
+  LanesForScope& operator=(const LanesForScope&) = delete;
+};
+
+/// 64-bit FNV-1a over every story's id, submitter, submission time, phase,
+/// promotion time and vote columns (in story-id order), then the top-user
+/// ranking. Doubles are hashed by bit pattern, so equal digests mean a
+/// bit-identical corpus.
+std::uint64_t corpus_digest(const Corpus& corpus) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto add = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto add_time = [&add](double t) {
+    add(std::bit_cast<std::uint64_t>(t));
+  };
+  std::vector<const Story*> stories;
+  for (const Story& s : corpus.front_page) stories.push_back(&s);
+  for (const Story& s : corpus.upcoming) stories.push_back(&s);
+  std::ranges::sort(stories, {}, &Story::id);
+  add(stories.size());
+  for (const Story* s : stories) {
+    add(s->id);
+    add(s->submitter);
+    add_time(s->submitted_at);
+    add(static_cast<std::uint64_t>(s->phase));
+    add(s->promoted() ? 1 : 0);
+    if (s->promoted()) add_time(*s->promoted_at);
+    add(s->voters().size());
+    for (const UserId voter : s->voters()) add(voter);
+    for (const platform::Minutes t : s->times()) add_time(t);
+  }
+  add(corpus.top_users.size());
+  for (const UserId user : corpus.top_users) add(user);
+  return h;
 }
 
 // A small corpus keeps the suite fast; the promotion bar is scaled down
@@ -304,8 +355,9 @@ TEST(GenerateCorpus, CalibratedAgainstZhuMarginals) {
 // --- pluggable models ----------------------------------------------------
 
 // The eager/streamed bit-identity contract must hold for EVERY registered
-// model, not just the one the goldens pin — a model that draws outside its
-// split(story_id) substream would break here first.
+// model, not just the one the goldens pin, and for every lane count — a
+// model that draws outside its split(story_id) substream, or a story run
+// that reaches outside its own story, would break here first.
 TEST(GenerateCorpusToSnapshot, BitIdenticalUnderEveryRegisteredModel) {
   for (const std::string& model_id : dynamics::registered_model_ids()) {
     SCOPED_TRACE("model " + model_id);
@@ -314,34 +366,89 @@ TEST(GenerateCorpusToSnapshot, BitIdenticalUnderEveryRegisteredModel) {
     params.stochastic.step = 4.0;  // keep the expensive model's runs fast
     params.stochastic.horizon = 2.0 * platform::kMinutesPerDay;
 
-    stats::Rng rng_eager(11);
-    const SyntheticCorpus eager = generate_corpus(params, rng_eager);
-    EXPECT_EQ(eager.corpus.model_id, model_id);
-
-    const fs::path path =
-        fs::temp_directory_path() /
-        ("digg_streamed_model_" + std::to_string(::getpid()) + ".snap");
-    stats::Rng rng_stream(11);
-    const StreamedCorpusInfo info = generate_corpus_to_snapshot(
-        params, rng_stream, path,
-        /*chunk_target_bytes=*/std::size_t{1} << 16);
-    EXPECT_EQ(info.total_votes, eager.corpus.vote_store.total_votes());
-
-    const Corpus loaded = load_snapshot_mmap(path);
-    fs::remove(path);
-    EXPECT_EQ(loaded.model_id, model_id);
-
+    // The one-lane eager corpus is the reference; every lane count must
+    // reproduce it both eagerly and streamed.
+    SyntheticCorpus reference;
+    {
+      const LanesForScope lanes(1);
+      stats::Rng rng(11);
+      reference = generate_corpus(params, rng);
+    }
+    EXPECT_EQ(reference.corpus.model_id, model_id);
     std::map<StoryId, const Story*> by_id;
-    for (const Story& s : eager.corpus.front_page) by_id[s.id] = &s;
-    for (const Story& s : eager.corpus.upcoming) by_id[s.id] = &s;
-    const auto check = [&](const Story& got) {
-      const auto it = by_id.find(got.id);
-      ASSERT_NE(it, by_id.end()) << "unknown story id " << got.id;
-      EXPECT_TRUE(same_votes(got, *it->second)) << "story " << got.id;
+    for (const Story& s : reference.corpus.front_page) by_id[s.id] = &s;
+    for (const Story& s : reference.corpus.upcoming) by_id[s.id] = &s;
+    const auto check = [&](const Corpus& got) {
+      EXPECT_EQ(got.model_id, model_id);
+      EXPECT_EQ(got.story_count(), by_id.size());
+      const auto check_story = [&](const Story& s) {
+        const auto it = by_id.find(s.id);
+        ASSERT_NE(it, by_id.end()) << "unknown story id " << s.id;
+        EXPECT_TRUE(same_votes(s, *it->second)) << "story " << s.id;
+        EXPECT_EQ(s.phase, it->second->phase) << "story " << s.id;
+      };
+      for (const Story& s : got.front_page) check_story(s);
+      for (const Story& s : got.upcoming) check_story(s);
     };
-    for (const Story& s : loaded.front_page) check(s);
-    for (const Story& s : loaded.upcoming) check(s);
+
+    for (const unsigned lane_count : {1u, 4u}) {
+      SCOPED_TRACE("lanes " + std::to_string(lane_count));
+      const LanesForScope lanes(lane_count);
+      stats::Rng rng_eager(11);
+      const SyntheticCorpus eager = generate_corpus(params, rng_eager);
+      check(eager.corpus);
+
+      const fs::path path =
+          fs::temp_directory_path() /
+          ("digg_streamed_model_" + std::to_string(::getpid()) + ".snap");
+      stats::Rng rng_stream(11);
+      const StreamedCorpusInfo info = generate_corpus_to_snapshot(
+          params, rng_stream, path,
+          /*chunk_target_bytes=*/std::size_t{1} << 16);
+      EXPECT_EQ(info.total_votes, reference.corpus.vote_store.total_votes());
+      const Corpus loaded = load_snapshot_mmap(path);
+      fs::remove(path);
+      check(loaded);
+    }
   }
+}
+
+// --- the pinned seed-42 corpus --------------------------------------------
+
+// corpus_digest of the seed-42 "legacy" scenario (120,000 users, 1,100
+// stories: the corpus of every figure and of perfbench). The constant was
+// taken from the serial generator at commit 17c62b0, before story runs were
+// spread over the parallel runtime's lanes; generation must reproduce it
+// for every lane count, eagerly and streamed.
+constexpr std::uint64_t kLegacySeed42Digest = 0xab13ca85007e71e8ULL;
+
+TEST(GenerateCorpus, LegacySeed42DigestIsPinnedForEveryLaneCount) {
+  const ScenarioSpec spec = make_scenario("legacy", 42);
+  for (const unsigned lane_count : {1u, 2u, 4u}) {
+    const LanesForScope lanes(lane_count);
+    stats::Rng rng(spec.seed);
+    const SyntheticCorpus syn = generate_corpus(spec.params, rng);
+    EXPECT_EQ(corpus_digest(syn.corpus), kLegacySeed42Digest)
+        << "lanes " << lane_count << ": 0x" << std::hex
+        << corpus_digest(syn.corpus);
+  }
+}
+
+TEST(GenerateCorpusToSnapshot, LegacySeed42DigestIsPinnedForEveryLaneCount) {
+  const ScenarioSpec spec = make_scenario("legacy", 42);
+  const fs::path path =
+      fs::temp_directory_path() /
+      ("digg_streamed_seed42_" + std::to_string(::getpid()) + ".snap");
+  for (const unsigned lane_count : {1u, 2u, 4u}) {
+    const LanesForScope lanes(lane_count);
+    stats::Rng rng(spec.seed);
+    (void)generate_corpus_to_snapshot(spec.params, rng, path);
+    const Corpus loaded = load_snapshot_mmap(path);
+    EXPECT_EQ(corpus_digest(loaded), kLegacySeed42Digest)
+        << "lanes " << lane_count << ": 0x" << std::hex
+        << corpus_digest(loaded);
+  }
+  fs::remove(path);
 }
 
 TEST(GenerateCorpus, UnknownModelIdThrows) {

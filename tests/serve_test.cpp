@@ -589,6 +589,62 @@ TEST_F(ServeTest, RejectsUnknownStoriesAndDuplicateSubmits) {
   server.wait();
 }
 
+// Events live_submit/live_vote would throw on are refused by the front-end
+// with kBadEvent (detail: the story id). The connection stays open, the
+// next sync is answered, and the drain applies only the accepted events —
+// unchecked, each of these aborted the server from inside the drain.
+TEST_F(ServeTest, RefusesEventsTheEngineWouldThrowOnAndKeepsServing) {
+  Server server(test_corpus().corpus.network, test_serve_params());
+  const auto port = server.start();
+  const auto users =
+      static_cast<std::uint32_t>(test_corpus().corpus.network.node_count());
+
+  const auto expect_refused_then_sync = [&](const std::vector<char>& wire,
+                                            std::uint32_t story_id,
+                                            std::uint32_t token) {
+    const int fd = connect_loopback(port);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(write_all(fd, wire.data(), wire.size()));
+    FrameDecoder decoder;
+    std::vector<Message> replies;
+    std::string error;
+    EXPECT_FALSE(read_messages(fd, decoder, replies, 1, error));
+    EXPECT_NE(error.find("code=5 detail=" + std::to_string(story_id)),
+              std::string::npos)
+        << error;
+    EXPECT_TRUE(sync_barrier(fd, decoder, token, error)) << error;
+    ::close(fd);
+  };
+  {
+    SCOPED_TRACE("submitter out of graph range");
+    std::vector<char> wire;
+    encode(SubmitMsg{100, 0xFFFFFFF0u, 1.0}, wire);
+    expect_refused_then_sync(wire, 100, 1);
+  }
+  {
+    SCOPED_TRACE("voter out of graph range");
+    std::vector<char> wire;
+    encode(SubmitMsg{101, 11, 1.0}, wire);
+    encode(VoteMsg{101, users, 2.0}, wire);
+    expect_refused_then_sync(wire, 101, 2);
+  }
+  {
+    SCOPED_TRACE("vote earlier than the story's last accepted vote");
+    std::vector<char> wire;
+    encode(SubmitMsg{102, 11, 5.0}, wire);
+    encode(VoteMsg{102, 12, 6.0}, wire);
+    encode(VoteMsg{102, 13, 5.5}, wire);
+    expect_refused_then_sync(wire, 102, 3);
+  }
+
+  server.request_stop();
+  server.wait();
+  EXPECT_FALSE(server.running());
+  // Stories 101 and 102 with their accepted events: two submits, one vote.
+  EXPECT_EQ(server.engine().story_count(), 2u);
+  EXPECT_EQ(server.engine().events_applied(), 3u);
+}
+
 TEST_F(ServeTest, RestoreAfterStartThrows) {
   Server server(test_corpus().corpus.network, test_serve_params());
   server.start();

@@ -112,10 +112,10 @@ TEST(SimdSetDiff, MatchesScalarAcrossShapesAndLevels) {
 
     // Unaligned bases: both arrays offset one element from the vector's
     // (aligned) allocation.
-    std::vector<std::uint32_t> main_buf(main_v.size() + 1, 0);
-    std::copy(main_v.begin(), main_v.end(), main_buf.begin() + 1);
-    std::vector<std::uint32_t> span_buf(span_v.size() + 1, 0);
-    std::copy(span_v.begin(), span_v.end(), span_buf.begin() + 1);
+    std::vector<std::uint32_t> main_buf(1, 0);
+    main_buf.insert(main_buf.end(), main_v.begin(), main_v.end());
+    std::vector<std::uint32_t> span_buf(1, 0);
+    span_buf.insert(span_buf.end(), span_v.begin(), span_v.end());
     const std::uint32_t* main_p = main_buf.data() + 1;
     const std::uint32_t* span_p = span_buf.data() + 1;
 
@@ -224,10 +224,13 @@ TEST(SimdC45, FlatTreeMatchesPointerWalkIncludingNaN) {
     const std::size_t n_attrs =
         static_cast<std::size_t>(rng.uniform_int(2, 5));
     std::vector<ml::Attribute> attrs;
-    for (std::size_t a = 0; a < n_attrs; ++a)
-      attrs.push_back({"a" + std::to_string(a),
-                       ml::AttributeKind::kNumeric,
-                       {}});
+    for (std::size_t a = 0; a < n_attrs; ++a) {
+      // Appended rather than "a" + to_string(a): gcc 12 -O3 misreads the
+      // inlined prepend as an overlapping memcpy (-Wrestrict).
+      std::string name = "a";
+      name += std::to_string(a);
+      attrs.push_back({std::move(name), ml::AttributeKind::kNumeric, {}});
+    }
     ml::Dataset data(attrs, {"no", "yes"});
     for (int i = 0; i < 200; ++i) {
       std::vector<double> row(n_attrs);
